@@ -404,7 +404,7 @@ impl Comm {
     ) -> Result<()> {
         Self::check_user_tag(tag)?;
         let bytes = encode(value)?;
-        let latch = Arc::new(Latch::new());
+        let latch = Arc::new(Latch::with_spin(self.fabric.spin));
         self.send_bytes_internal(dest, tag, bytes, Some(Arc::clone(&latch)))?;
         if latch.wait(timeout) {
             Ok(())
@@ -546,29 +546,28 @@ impl<T: DeserializeOwned> RecvRequest<T> {
         Ok((decode(&bytes)?, status))
     }
 
-    /// Poll — `MPI_Test`: `Ok(value)` if complete, `Err(self)` to retry.
+    /// Poll — `MPI_Test`: `Err(self)` to retry while nothing matching is
+    /// pending, otherwise `Ok` with the completed receive — which is
+    /// itself an error when the payload does not decode as `T`
+    /// (`MpcError::Decode`) or the take fails.
     #[allow(clippy::result_large_err)]
-    pub fn test(self) -> std::result::Result<(T, Status), Self> {
+    pub fn test(self) -> std::result::Result<Result<(T, Status)>, Self> {
         let me = self.comm.world_rank(self.comm.rank);
         if self
             .comm
             .fabric
             .local_mailbox(me)
             .try_peek_matching(self.comm.comm_id, self.src, self.tag)
-            .is_some()
+            .is_none()
         {
-            // A matching message is pending; the blocking take cannot
-            // block for long (only this thread consumes our mailbox).
-            match self.comm.recv_bytes_internal(self.src, self.tag, None) {
-                Ok((bytes, status)) => match decode(&bytes) {
-                    Ok(v) => Ok((v, status)),
-                    Err(_) => panic!("payload type mismatch in RecvRequest::test"),
-                },
-                Err(_) => unreachable!("message was pending"),
-            }
-        } else {
-            Err(self)
+            return Err(self);
         }
+        // A matching message is pending; the blocking take cannot block
+        // for long (only this thread consumes our mailbox).
+        Ok(self
+            .comm
+            .recv_bytes_internal(self.src, self.tag, None)
+            .and_then(|(bytes, status)| Ok((decode(&bytes)?, status))))
     }
 }
 

@@ -193,7 +193,7 @@ impl Comm {
                 }
                 std::thread::sleep(policy.backoff(seed, stream, attempt));
             }
-            let latch = Arc::new(Latch::new());
+            let latch = Arc::new(Latch::with_spin(self.fabric.spin));
             // Attempt 0 goes through fault injection; retransmissions are
             // exempt (the control plane is reliable), so the injector is
             // consulted exactly once per logical message.

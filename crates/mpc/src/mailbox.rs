@@ -5,15 +5,104 @@
 //! envelope, blocking until one arrives. Because the queue is scanned in
 //! arrival order, the MPI **non-overtaking** guarantee holds: two messages
 //! from the same sender with the same tag are received in send order.
+//!
+//! ## Waiting: spin, yield, park
+//!
+//! Every blocking wait here — a receive or probe with no match yet, a
+//! synchronous sender on its [`Latch`] — goes through one discipline:
+//!
+//! 1. **Spin.** After a failed scan the receiver notes the mailbox's
+//!    `epoch` (bumped under the queue lock by every deposit and
+//!    interrupt), drops the lock and polls the epoch with
+//!    [`std::hint::spin_loop`], calling [`std::thread::yield_now`] every
+//!    64th poll — the rule pdc-shmem's spin loops follow, so a spinning
+//!    rank never starves the thread it waits on. The spin lasts at most
+//!    the mailbox's budget (~50 µs) and never past the caller's deadline.
+//!    When the epoch moves it re-locks and rescans.
+//! 2. **Park.** Once the budget is spent the receiver re-locks, rescans,
+//!    consults its failure predicate and only then parks on the condvar,
+//!    counted as a sleeper. Deposits notify only when a sleeper is
+//!    counted, so a spinning receiver costs its sender no futex call.
+//!
+//! In a thread-mode world a rank hand-off is then a cache-line transfer
+//! rather than two futex wake-ups, which is most of a small message's
+//! round trip. The budget is derived, not configured: the fabric gives
+//! ~50 µs to thread-mode worlds whose ranks each have a core
+//! (`np ≤ available_parallelism()`, the core count read once per
+//! process), and zero — park at once — to oversubscribed worlds, to
+//! 1-core hosts like the paper's Colab VM, and to wire ranks attached
+//! with `World::attach`. Wire ranks do not spin: their messages arrive
+//! through pdc-net's reader and writer pumps, which need the same CPUs,
+//! and on a 2-vCPU host a variant that spun them cut the wire lab's
+//! time by ~29% but raised its CPU per lab by ~27%.
+//!
+//! The missed-wakeup rules hold on both paths: predicates (queue
+//! contents, `fail`) are read only under the queue lock; state changes
+//! (deposit, interrupt, crash registration) happen under that lock, bump
+//! the epoch and read the sleeper count there; the epoch a spinner polls
+//! is recorded under the same lock hold as its failed scan; and a parked
+//! receiver registers as a sleeper and parks in one lock hold, since
+//! `Condvar::wait` releases the lock and parks atomically.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::envelope::{Envelope, Source, TagSel};
 use crate::error::{MpcError, Result};
+
+/// How long a blocked wait polls before parking, in a world whose ranks
+/// each have a core. Long enough to cover a small message's round trip
+/// between two running ranks, short enough that a rank waiting on real
+/// work (a worker computing a ligand) parks almost at once.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Spin budget for the mailboxes and latches of a thread-mode world of
+/// `np` ranks: [`SPIN_BUDGET`] when every rank can have a core of its
+/// own, zero when the world is oversubscribed or the host has one core
+/// (a spinner would only delay the thread it waits on). The core count
+/// is read once per process: `available_parallelism` reads cgroup files,
+/// too slow to repeat on every `World::run`.
+pub(crate) fn thread_world_spin(np: usize) -> Duration {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    if cores > 1 && np <= cores {
+        SPIN_BUDGET
+    } else {
+        Duration::ZERO
+    }
+}
+
+/// Poll `ready` until it holds or `until` passes, with `spin_loop`
+/// between polls and `yield_now` every 64th. Returns whether `ready`
+/// held.
+fn spin_until(until: Instant, ready: impl Fn() -> bool) -> bool {
+    let mut polls = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        polls = polls.wrapping_add(1);
+        if polls.is_multiple_of(64) {
+            if Instant::now() >= until {
+                return false;
+            }
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// End of a spin of at most `spin`, never past `deadline`.
+fn spin_end(spin: Duration, deadline: Option<Instant>) -> Instant {
+    let now = Instant::now();
+    let end = now.checked_add(spin).unwrap_or(now);
+    deadline.map_or(end, |dl| end.min(dl))
+}
 
 /// A one-shot completion latch used by synchronous sends: the sender
 /// blocks on [`Latch::wait`] until the receiver calls [`Latch::open`]
@@ -26,29 +115,48 @@ use crate::error::{MpcError, Result};
 #[derive(Default)]
 pub struct Latch {
     state: Mutex<LatchState>,
+    /// Set under the state lock (`Release`); a spinning waiter polls it
+    /// without the lock (`Acquire`), so it sees everything the opener
+    /// did before opening.
+    open: AtomicBool,
     cv: Condvar,
+    spin: Duration,
 }
 
 #[derive(Default)]
 struct LatchState {
-    open: bool,
     hook: Option<Box<dyn FnOnce() + Send>>,
+    /// Waiters parked on `cv`; `open` notifies only when nonzero.
+    sleepers: usize,
 }
 
 impl std::fmt::Debug for Latch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
         f.debug_struct("Latch")
-            .field("open", &st.open)
+            .field("open", &self.is_open())
             .field("hook", &st.hook.is_some())
             .finish()
     }
 }
 
 impl Latch {
-    /// Create a closed latch.
+    /// Create a closed latch whose waiters park at once.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A closed latch whose waiters spin for up to `spin` before parking
+    /// (see the module doc).
+    pub(crate) fn with_spin(spin: Duration) -> Self {
+        Self {
+            spin,
+            ..Self::default()
+        }
+    }
+
+    fn is_open(&self) -> bool {
+        self.open.load(Ordering::Acquire)
     }
 
     /// Attach a hook to run once when the latch opens. Attach before
@@ -56,7 +164,7 @@ impl Latch {
     /// unrun.
     pub fn set_hook(&self, hook: Box<dyn FnOnce() + Send>) {
         let mut st = self.state.lock();
-        if !st.open {
+        if !self.is_open() {
             st.hook = Some(hook);
         }
     }
@@ -67,8 +175,10 @@ impl Latch {
     pub fn open(&self) {
         let hook = {
             let mut st = self.state.lock();
-            st.open = true;
-            self.cv.notify_all();
+            self.open.store(true, Ordering::Release);
+            if st.sleepers > 0 {
+                self.cv.notify_all();
+            }
             st.hook.take()
         };
         if let Some(hook) = hook {
@@ -82,23 +192,25 @@ impl Latch {
     /// on the overflowing deadline arithmetic.
     pub fn wait(&self, timeout: Option<Duration>) -> bool {
         let deadline = deadline_after(timeout);
+        if !self.spin.is_zero() && spin_until(spin_end(self.spin, deadline), || self.is_open()) {
+            return true;
+        }
         let mut st = self.state.lock();
-        match deadline {
-            None => {
-                while !st.open {
+        while !self.is_open() {
+            st.sleepers += 1;
+            let timed_out = match deadline {
+                None => {
                     self.cv.wait(&mut st);
+                    false
                 }
-                true
-            }
-            Some(dl) => {
-                while !st.open {
-                    if self.cv.wait_until(&mut st, dl).timed_out() {
-                        return st.open;
-                    }
-                }
-                true
+                Some(dl) => self.cv.wait_until(&mut st, dl).timed_out(),
+            };
+            st.sleepers -= 1;
+            if timed_out {
+                return self.is_open();
             }
         }
+        true
     }
 }
 
@@ -112,30 +224,48 @@ fn deadline_after(timeout: Option<Duration>) -> Option<Instant> {
 /// The pending-message queue of one rank.
 #[derive(Debug, Default)]
 pub struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
+    queue: Mutex<Queue>,
     arrived: Condvar,
+    /// Bumped under the queue lock by every deposit and interrupt; a
+    /// spinning receiver polls it without the lock. It only says "look
+    /// again": the receiver re-takes the lock to rescan, and the lock
+    /// orders the queue contents.
+    epoch: AtomicU64,
+    /// How long a blocked wait spins before parking; zero parks at once.
+    spin: Duration,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    envelopes: VecDeque<Envelope>,
+    /// Waiters parked on `arrived`; deposits notify only when nonzero.
+    sleepers: usize,
 }
 
 impl Mailbox {
-    /// Empty mailbox.
+    /// Empty mailbox whose receivers park at once.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Empty mailbox whose receivers spin for up to `spin` before
+    /// parking (see the module doc).
+    pub(crate) fn with_spin(spin: Duration) -> Self {
+        Self {
+            spin,
+            ..Self::default()
+        }
+    }
+
+    /// This mailbox's spin budget.
+    #[cfg(test)]
+    pub(crate) fn spin(&self) -> Duration {
+        self.spin
+    }
+
     /// Deposit a message (called by the sender's thread).
     pub(crate) fn deposit(&self, env: Envelope) {
-        let depth = {
-            let mut q = self.queue.lock();
-            q.push_back(env);
-            q.len()
-        };
-        // Sampled on every deposit/removal, the gauge traces the queue
-        // depth over time — backlog spikes show up as a sawtooth in the
-        // timeline rather than only as an end-of-run total — while the
-        // histogram keeps the depth *distribution* (p50/p90/p99).
-        pdc_trace::gauge("mpc", "mailbox_depth", depth as f64);
-        pdc_trace::hist("mpc", "mailbox_depth", depth as u64);
-        self.arrived.notify_all();
+        self.push(env, VecDeque::push_back);
     }
 
     /// Deposit a message at the *front* of the queue, ahead of all
@@ -143,14 +273,27 @@ impl Mailbox {
     /// reordering — it deliberately violates the non-overtaking
     /// guarantee [`Mailbox::deposit`] provides.
     pub(crate) fn deposit_front(&self, env: Envelope) {
-        let depth = {
+        self.push(env, VecDeque::push_front);
+    }
+
+    fn push(&self, env: Envelope, put: fn(&mut VecDeque<Envelope>, Envelope)) {
+        let (depth, parked) = {
             let mut q = self.queue.lock();
-            q.push_front(env);
-            q.len()
+            put(&mut q.envelopes, env);
+            self.epoch.fetch_add(1, Ordering::Release);
+            (q.envelopes.len(), q.sleepers > 0)
         };
+        // Sampled on every deposit/removal, the gauge traces the queue
+        // depth over time — backlog spikes show up as a sawtooth in the
+        // timeline rather than only as an end-of-run total — while the
+        // histogram keeps the depth *distribution* (p50/p90/p99).
         pdc_trace::gauge("mpc", "mailbox_depth", depth as f64);
         pdc_trace::hist("mpc", "mailbox_depth", depth as u64);
-        self.arrived.notify_all();
+        // A sleeper counted under the lock entered `Condvar::wait` before
+        // releasing it, so a notify after the unlock still reaches it.
+        if parked {
+            self.arrived.notify_all();
+        }
     }
 
     /// Wake every blocked waiter without delivering anything, so it
@@ -158,14 +301,16 @@ impl Mailbox {
     /// receivers blocked on the dead rank return `PeerGone` promptly
     /// instead of waiting out their timeout.
     pub(crate) fn interrupt(&self) {
-        // Take the lock before notifying: a waiter is either inside its
-        // predicate check (holding the lock — it will see the new state
-        // on its next iteration) or parked in `wait` (the notify wakes
-        // it). There is no window where a waiter has decided to park but
-        // can still miss the notification, because `Condvar::wait`
-        // releases the lock and parks atomically.
-        let _q = self.queue.lock();
-        self.arrived.notify_all();
+        // Under the lock, a waiter is either inside its predicate check
+        // (it sees the new state on its next iteration), spinning (it
+        // sees the epoch move) or parked (the notify wakes it). A waiter
+        // cannot decide to park and still miss the notification, because
+        // `Condvar::wait` releases the lock and parks atomically.
+        let q = self.queue.lock();
+        self.epoch.fetch_add(1, Ordering::Release);
+        if q.sleepers > 0 {
+            self.arrived.notify_all();
+        }
     }
 
     /// Remove and return the oldest envelope matching the selectors,
@@ -189,14 +334,6 @@ impl Mailbox {
     /// queue is always scanned *before* `fail` is consulted, so messages
     /// deposited by a peer before it died remain receivable — only a
     /// wait that would otherwise block surfaces the failure.
-    ///
-    /// All blocking paths in this module share the same missed-wakeup
-    /// discipline: predicates (queue contents and `fail`) are only read
-    /// while holding the queue lock, state changes (deposit / interrupt /
-    /// crash registration) happen under that lock before `notify_all`,
-    /// and `Condvar::wait` parks atomically with the unlock. A timeout
-    /// performs one final scan after waking, so a message or failure
-    /// that lands exactly at the deadline is never dropped on the floor.
     pub(crate) fn take_matching_checked(
         &self,
         comm_id: u64,
@@ -205,7 +342,7 @@ impl Mailbox {
         timeout: Option<Duration>,
         fail: &dyn Fn() -> Option<MpcError>,
     ) -> Result<Envelope> {
-        let take = |q: &mut VecDeque<Envelope>| -> Option<Envelope> {
+        self.wait_for(timeout, "recv", fail, |q| {
             let pos = q.iter().position(|e| e.matches(comm_id, &src, &tag))?;
             let env = q.remove(pos).expect("position just found");
             pdc_trace::gauge("mpc", "mailbox_depth", q.len() as f64);
@@ -214,36 +351,7 @@ impl Mailbox {
                 latch.open();
             }
             Some(env)
-        };
-        let deadline = deadline_after(timeout);
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(env) = take(&mut q) {
-                return Ok(env);
-            }
-            if let Some(err) = fail() {
-                return Err(err);
-            }
-            match deadline {
-                None => self.arrived.wait(&mut q),
-                Some(dl) => {
-                    if self.arrived.wait_until(&mut q, dl).timed_out() {
-                        // One final scan in case a message arrived exactly
-                        // at the deadline.
-                        if let Some(env) = take(&mut q) {
-                            return Ok(env);
-                        }
-                        if let Some(err) = fail() {
-                            return Err(err);
-                        }
-                        return Err(MpcError::Timeout {
-                            waited: timeout.expect("deadline implies timeout"),
-                            operation: "recv",
-                        });
-                    }
-                }
-            }
-        }
+        })
     }
 
     /// Peek at the oldest matching envelope without removing it,
@@ -260,7 +368,7 @@ impl Mailbox {
     }
 
     /// [`Mailbox::peek_matching`] with a failure predicate; same scan
-    /// ordering and wakeup discipline as [`Mailbox::take_matching_checked`].
+    /// ordering and wait path as [`Mailbox::take_matching_checked`].
     pub(crate) fn peek_matching_checked(
         &self,
         comm_id: u64,
@@ -269,31 +377,67 @@ impl Mailbox {
         timeout: Option<Duration>,
         fail: &dyn Fn() -> Option<MpcError>,
     ) -> Result<(usize, i32, usize)> {
+        self.wait_for(timeout, "probe", fail, |q| {
+            q.iter()
+                .find(|e| e.matches(comm_id, &src, &tag))
+                .map(|e| (e.src, e.tag, e.payload.len()))
+        })
+    }
+
+    /// The one blocking wait (see the module doc): `scan` the queue,
+    /// consult `fail`, spin while the budget lasts, then park. A timeout
+    /// performs one final scan after waking, so a message or failure
+    /// that lands exactly at the deadline is never dropped on the floor.
+    fn wait_for<R>(
+        &self,
+        timeout: Option<Duration>,
+        operation: &'static str,
+        fail: &dyn Fn() -> Option<MpcError>,
+        mut scan: impl FnMut(&mut VecDeque<Envelope>) -> Option<R>,
+    ) -> Result<R> {
         let deadline = deadline_after(timeout);
+        let mut spinning = !self.spin.is_zero();
+        let mut spin_deadline = None;
         let mut q = self.queue.lock();
         loop {
-            if let Some(e) = q.iter().find(|e| e.matches(comm_id, &src, &tag)) {
-                return Ok((e.src, e.tag, e.payload.len()));
+            if let Some(found) = scan(&mut q.envelopes) {
+                return Ok(found);
             }
             if let Some(err) = fail() {
                 return Err(err);
             }
-            match deadline {
-                None => self.arrived.wait(&mut q),
-                Some(dl) => {
-                    if self.arrived.wait_until(&mut q, dl).timed_out() {
-                        if let Some(e) = q.iter().find(|e| e.matches(comm_id, &src, &tag)) {
-                            return Ok((e.src, e.tag, e.payload.len()));
-                        }
-                        if let Some(err) = fail() {
-                            return Err(err);
-                        }
-                        return Err(MpcError::Timeout {
-                            waited: timeout.expect("deadline implies timeout"),
-                            operation: "probe",
-                        });
-                    }
+            if spinning {
+                let until = *spin_deadline.get_or_insert_with(|| spin_end(self.spin, deadline));
+                let seen = self.epoch.load(Ordering::Relaxed);
+                drop(q);
+                spinning = spin_until(until, || self.epoch.load(Ordering::Acquire) != seen);
+                // Whether the epoch moved or the budget ran out, rescan
+                // under the re-taken lock before parking.
+                q = self.queue.lock();
+                continue;
+            }
+            q.sleepers += 1;
+            let timed_out = match deadline {
+                None => {
+                    self.arrived.wait(&mut q);
+                    false
                 }
+                Some(dl) => self.arrived.wait_until(&mut q, dl).timed_out(),
+            };
+            q.sleepers -= 1;
+            if timed_out {
+                // One final scan in case a message arrived exactly at
+                // the deadline.
+                if let Some(found) = scan(&mut q.envelopes) {
+                    return Ok(found);
+                }
+                if let Some(err) = fail() {
+                    return Err(err);
+                }
+                return Err(MpcError::Timeout {
+                    waited: timeout.expect("deadline implies timeout"),
+                    operation,
+                });
             }
         }
     }
@@ -306,14 +450,15 @@ impl Mailbox {
         tag: TagSel,
     ) -> Option<(usize, i32, usize)> {
         let q = self.queue.lock();
-        q.iter()
+        q.envelopes
+            .iter()
             .find(|e| e.matches(comm_id, &src, &tag))
             .map(|e| (e.src, e.tag, e.payload.len()))
     }
 
     /// Number of queued messages (diagnostic).
     pub fn pending(&self) -> usize {
-        self.queue.lock().len()
+        self.queue.lock().envelopes.len()
     }
 }
 
@@ -536,6 +681,108 @@ mod tests {
         mb.interrupt();
         let err = h.join().unwrap().unwrap_err();
         assert!(matches!(err, MpcError::PeerGone { rank: 1 }));
+    }
+
+    #[test]
+    fn spinning_take_parks_and_still_wakes() {
+        // Deposit only once the receiver has spent its spin budget and
+        // parked, so the notify to a counted sleeper is what wakes it.
+        let mb = Arc::new(Mailbox::with_spin(SPIN_BUDGET));
+        let mb2 = Arc::clone(&mb);
+        let handle = std::thread::spawn(move || {
+            mb2.take_matching(0, Source::Rank(0), TagSel::Tag(5), None)
+                .unwrap()
+        });
+        while mb.queue.lock().sleepers == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        mb.deposit(env(0, 0, 5, b"late"));
+        let got = handle.join().unwrap();
+        assert_eq!(&got.payload[..], b"late");
+    }
+
+    #[test]
+    fn interrupt_during_spin_surfaces_peer_gone() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // A budget far longer than the test: the receiver is still
+        // spinning when the interrupt lands, so only the epoch can wake it.
+        let mb = Arc::new(Mailbox::with_spin(Duration::from_secs(60)));
+        let dead = Arc::new(AtomicBool::new(false));
+        let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
+        let start = Instant::now();
+        let h = std::thread::spawn(move || {
+            mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &|| {
+                dead2
+                    .load(Ordering::SeqCst)
+                    .then_some(MpcError::PeerGone { rank: 1 })
+            })
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        dead.store(true, Ordering::SeqCst);
+        mb.interrupt();
+        let err = h.join().unwrap().unwrap_err();
+        assert!(matches!(err, MpcError::PeerGone { rank: 1 }));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "woken by the epoch, not the budget"
+        );
+    }
+
+    #[test]
+    fn short_timeout_caps_the_spin() {
+        // A 10 µs timeout, shorter than the spin budget, must time out
+        // near 10 µs. Best of five, so one descheduling of this thread by
+        // a busy host cannot fail the test.
+        for spin in [SPIN_BUDGET, Duration::from_secs(60)] {
+            let mb = Mailbox::with_spin(spin);
+            let best = (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    let err = mb
+                        .take_matching(0, Source::Any, TagSel::Any, Some(Duration::from_micros(10)))
+                        .unwrap_err();
+                    assert!(matches!(
+                        err,
+                        MpcError::Timeout {
+                            operation: "recv",
+                            ..
+                        }
+                    ));
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(
+                best < Duration::from_millis(2),
+                "10 µs timeout took {best:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn spinning_latch_opens_and_times_out() {
+        // Opened while the waiter spins (a budget far longer than the
+        // test) and, on a second latch, after it has parked.
+        for (spin, parked) in [(Duration::from_secs(60), false), (SPIN_BUDGET, true)] {
+            let latch = Arc::new(Latch::with_spin(spin));
+            let l2 = Arc::clone(&latch);
+            let start = Instant::now();
+            let h = std::thread::spawn(move || l2.wait(None));
+            while parked && latch.state.lock().sleepers == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            latch.open();
+            assert!(h.join().unwrap());
+            assert!(start.elapsed() < Duration::from_secs(10));
+        }
+
+        let latch = Latch::with_spin(Duration::from_secs(60));
+        let start = Instant::now();
+        assert!(!latch.wait(Some(Duration::from_millis(5))));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the deadline caps the spin"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::analysis::{CommLog, RunRecorder};
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
 use crate::failure::DeadSet;
-use crate::mailbox::{Mailbox, SharedMailbox};
+use crate::mailbox::{self, Mailbox, SharedMailbox};
 use crate::transport::{AckTable, Transport, WireHandle};
 
 /// Default internal timeout for collectives: generous enough that a
@@ -50,6 +50,10 @@ pub(crate) struct Fabric {
     pub(crate) retry: RetryPolicy,
     pub(crate) analysis: Option<RunRecorder>,
     pub(crate) acks: AckTable,
+    /// Spin budget of this fabric's mailboxes and sync latches: nonzero
+    /// only for thread-mode worlds with a core per rank (see the
+    /// `mailbox` module doc).
+    pub(crate) spin: Duration,
     next_comm_id: AtomicU64,
 }
 
@@ -254,6 +258,9 @@ impl World {
             retry: self.retry,
             analysis: None,
             acks: AckTable::default(),
+            // Wire ranks never spin: the transport's pumps need the same
+            // CPUs (see the `mailbox` module doc).
+            spin: Duration::ZERO,
             next_comm_id: AtomicU64::new(1),
         });
         transport.start(WireHandle::new(Arc::clone(&fabric)));
@@ -282,8 +289,13 @@ impl World {
         // Per-world log wins over the ambient one, so a harness can arm a
         // process-wide log without hijacking explicitly-attached worlds.
         let analysis_log = self.analysis.clone().or_else(crate::analysis::ambient);
+        let spin = mailbox::thread_world_spin(self.np);
         let fabric = Arc::new(Fabric {
-            route: Route::Threads((0..self.np).map(|_| Arc::new(Mailbox::new())).collect()),
+            route: Route::Threads(
+                (0..self.np)
+                    .map(|_| Arc::new(Mailbox::with_spin(spin)))
+                    .collect(),
+            ),
             hostnames: self.hostnames.clone(),
             algo: self.algo,
             traffic: trace.then(|| crate::traffic::TrafficCounters::new(self.np)),
@@ -293,6 +305,7 @@ impl World {
             retry: self.retry,
             analysis: analysis_log.map(|log| log.start_run(self.np)),
             acks: AckTable::default(),
+            spin,
             next_comm_id: AtomicU64::new(1),
         });
         let group: Arc<Vec<usize>> = Arc::new((0..self.np).collect());
@@ -503,7 +516,10 @@ mod tests {
                 let mut polls = 0usize;
                 loop {
                     match req.test() {
-                        Ok((v, _)) => return (v, polls > 0 || v == 9),
+                        Ok(done) => {
+                            let (v, _) = done.unwrap();
+                            return (v, polls > 0 || v == 9);
+                        }
                         Err(r) => {
                             req = r;
                             polls += 1;
@@ -518,6 +534,120 @@ mod tests {
             }
         });
         assert_eq!(out[0].0, 9);
+    }
+
+    #[test]
+    fn irecv_test_reports_decode_errors() {
+        let out = World::new(2).run(|c| {
+            if c.rank() == 0 {
+                let mut req = c.irecv::<u64>(1, 0);
+                loop {
+                    match req.test() {
+                        Ok(done) => return Some(done),
+                        Err(r) => {
+                            req = r;
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            } else {
+                c.send(0, 0, &"not a number").unwrap();
+                None
+            }
+        });
+        assert!(matches!(out[0], Some(Err(MpcError::Decode(_)))));
+    }
+
+    #[test]
+    fn pingpong_with_random_pauses_loses_no_wakeups() {
+        // 100k messages, each side pausing at random for 0–200 µs before
+        // one send in 16: waits end both while the receiver still spins
+        // and after it has parked. A lost wake-up hangs a rank, so the
+        // world runs under a watchdog.
+        const ROUNDS: u64 = 50_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let world = std::thread::spawn(move || {
+            let out = World::new(2).run(|c| {
+                let peer = 1 - c.rank();
+                let mut lcg = 0x9E37_79B9_7F4A_7C15u64 ^ c.rank() as u64;
+                let mut pause = || {
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if (lcg >> 60) == 0 {
+                        std::thread::sleep(Duration::from_micros((lcg >> 32) % 200));
+                    }
+                };
+                let mut sum = 0u64;
+                for i in 0..ROUNDS {
+                    if c.rank() == 0 {
+                        pause();
+                        c.send(peer, 0, &i).unwrap();
+                        sum += c.recv::<u64>(peer, 0).unwrap();
+                    } else {
+                        let v: u64 = c.recv(peer, 0).unwrap();
+                        pause();
+                        c.send(peer, 0, &v).unwrap();
+                        sum += v;
+                    }
+                }
+                sum
+            });
+            let _ = tx.send(out);
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("ping-pong stalled: a wake-up was lost");
+        world.join().unwrap();
+        let expect = ROUNDS * (ROUNDS - 1) / 2;
+        assert_eq!(out, vec![expect, expect]);
+    }
+
+    #[test]
+    fn spin_budget_follows_the_core_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spins = |np: usize| {
+            World::new(np).run(|c| {
+                let me = c.world_rank(c.rank());
+                (c.fabric.local_mailbox(me).spin(), c.fabric.spin)
+            })
+        };
+        // Oversubscribed: every mailbox and latch parks at once.
+        for (mailbox, latch) in spins(cores + 1) {
+            assert_eq!((mailbox, latch), (Duration::ZERO, Duration::ZERO));
+        }
+        // A core per rank: spin, unless the host has only one core.
+        for (mailbox, latch) in spins(cores) {
+            assert_eq!(mailbox, latch);
+            assert_eq!(mailbox.is_zero(), cores == 1);
+        }
+    }
+
+    #[test]
+    fn attached_wire_ranks_never_spin() {
+        struct Solo;
+        impl Transport for Solo {
+            fn rank(&self) -> usize {
+                0
+            }
+            fn size(&self) -> usize {
+                1
+            }
+            fn hostnames(&self) -> Vec<String> {
+                vec!["solo".to_owned()]
+            }
+            fn start(&self, _wire: WireHandle) {}
+            fn send_frame(
+                &self,
+                _dst: usize,
+                _frame: crate::transport::WireFrame,
+            ) -> crate::error::Result<crate::transport::FrameOutcome> {
+                unreachable!("a one-rank world has no peers")
+            }
+        }
+        let c = World::new(1).attach(Arc::new(Solo));
+        assert_eq!(c.fabric.local_mailbox(0).spin(), Duration::ZERO);
+        assert_eq!(c.fabric.spin, Duration::ZERO);
     }
 
     #[test]
