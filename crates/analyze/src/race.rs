@@ -4,7 +4,9 @@
 //! The detector consumes [`SyncEvent`]s and maintains:
 //!
 //! * a vector clock per live thread *epoch* (OS thread ids are remapped
-//!   on every `ChildStart`, since scoped threads can reuse them),
+//!   on every `ChildStart`, since one OS thread runs many children: the
+//!   hot team's workers serve region after region, and the calling
+//!   thread runs each region's thread 0),
 //! * a clock per lock (the classic release-acquire transfer),
 //! * per-barrier generation state (everything before any arrival
 //!   happens-before everything after the matching release), and
@@ -132,8 +134,9 @@ impl State {
     }
 
     fn child_start(&mut self, os: ThreadId, token: u64) {
-        // Force a fresh epoch: the OS ThreadId may be a reused one whose
-        // previous incarnation belonged to an earlier region.
+        // Force a fresh epoch: the OS thread may be a hot-team worker
+        // that ran a child of an earlier region, or the forking thread
+        // itself running child 0.
         let tid = self.fresh_epoch(os);
         let mut vc = self
             .forks

@@ -1,10 +1,12 @@
 //! Vector clocks over dynamically created thread epochs.
 //!
-//! The race detector assigns each observed thread a small `u64` epoch id
-//! (OS `ThreadId`s can be reused across scoped-thread generations, so the
-//! detector re-maps them on every `ChildStart`). A clock is a sparse map
-//! from epoch id to that thread's logical time; everything the FastTrack
-//! family needs reduces to `join` and the `dominates` comparison.
+//! The race detector assigns each observed thread a small `u64` epoch id.
+//! One OS thread runs many region children — hot-team workers serve
+//! region after region, and the forking thread runs child 0 — so the
+//! detector re-maps `ThreadId`s on every `ChildStart`. A clock is a
+//! sparse map from epoch id to that thread's logical time; everything
+//! the FastTrack family needs reduces to `join` and the `dominates`
+//! comparison.
 
 use std::collections::HashMap;
 

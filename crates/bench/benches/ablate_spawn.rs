@@ -1,21 +1,31 @@
-//! Ablation: per-region thread spawning (scoped fork-join `Team`) vs. a
-//! persistent worker pool (`ThreadPool`).
+//! Ablation: spawning fresh threads for every region vs. the hot team.
 //!
-//! The platform model charges `thread_spawn_us` per rank per region;
-//! this bench measures the real cost on the host and shows what an
-//! OpenMP-style persistent team buys.
+//! `spawn_per_region` forks and joins `threads` scoped OS threads per
+//! region — the cost the platform model's `thread_spawn_us` charges per
+//! thread per region. `hot_team` runs the same regions through
+//! `Team::parallel`, whose workers stay parked between regions as in a
+//! real OpenMP runtime, with the calling thread as team thread 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use criterion::{BenchmarkId, Criterion};
-use pdc_shmem::pool::ThreadPool;
 use pdc_shmem::Team;
 
 const REGIONS: usize = 20;
 
-fn with_team(threads: usize, sink: &AtomicU64) {
-    let team = Team::new(threads);
+fn spawn_per_region(threads: usize, sink: &AtomicU64) {
+    for r in 0..REGIONS {
+        std::thread::scope(|s| {
+            for id in 0..threads {
+                s.spawn(move || {
+                    sink.fetch_add((r + id) as u64, Ordering::Relaxed);
+                });
+            }
+        });
+    }
+}
+
+fn hot_team(team: &Team, sink: &AtomicU64) {
     for r in 0..REGIONS {
         team.parallel(|ctx| {
             sink.fetch_add((r + ctx.thread_num()) as u64, Ordering::Relaxed);
@@ -23,32 +33,20 @@ fn with_team(threads: usize, sink: &AtomicU64) {
     }
 }
 
-fn with_pool(pool: &ThreadPool, sink: &Arc<AtomicU64>) {
-    for r in 0..REGIONS {
-        let sink = Arc::clone(sink);
-        pool.region(move |id, _| {
-            sink.fetch_add((r + id) as u64, Ordering::Relaxed);
-        });
-    }
-}
-
 fn bench(c: &mut Criterion) {
-    println!("\nablate_spawn: {REGIONS} tiny regions; scoped-spawn Team vs persistent ThreadPool");
+    println!("\nablate_spawn: {REGIONS} tiny regions; scoped spawn per region vs hot Team");
     for threads in [2usize, 4] {
         let mut group = c.benchmark_group(format!("ablate/spawn/{threads}threads"));
         let sink = AtomicU64::new(0);
         group.bench_with_input(
-            BenchmarkId::from_parameter("team_spawn_per_region"),
+            BenchmarkId::from_parameter("spawn_per_region"),
             &threads,
-            |b, &t| b.iter(|| with_team(t, &sink)),
+            |b, &t| b.iter(|| spawn_per_region(t, &sink)),
         );
-        let pool = ThreadPool::new(threads);
-        let sink = Arc::new(AtomicU64::new(0));
-        group.bench_with_input(
-            BenchmarkId::from_parameter("persistent_pool"),
-            &threads,
-            |b, _| b.iter(|| with_pool(&pool, &sink)),
-        );
+        let team = Team::new(threads);
+        group.bench_with_input(BenchmarkId::from_parameter("hot_team"), &threads, |b, _| {
+            b.iter(|| hot_team(&team, &sink))
+        });
         group.finish();
     }
 }

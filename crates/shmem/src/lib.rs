@@ -9,7 +9,7 @@
 //!
 //! | OpenMP construct | pdc-shmem API |
 //! |---|---|
-//! | `#pragma omp parallel` | [`Team::parallel`] (fork-join over a thread team) |
+//! | `#pragma omp parallel` | [`Team::parallel`] (fork-join over a hot thread team: the caller is thread 0, workers stay parked between regions) |
 //! | `omp_get_thread_num()` / `omp_get_num_threads()` | [`ThreadCtx::thread_num`] / [`ThreadCtx::num_threads`] |
 //! | `#pragma omp for schedule(static/dynamic/guided)` | [`parallel_for()`] + [`Schedule`] |
 //! | `reduction(+:x)` | [`parallel_reduce`] (private accumulators + combine) |
@@ -61,7 +61,6 @@ pub mod constructs;
 pub mod hooks;
 pub mod ordered;
 pub mod parallel_for;
-pub mod pool;
 pub mod reduce;
 pub mod scan;
 pub mod schedule;

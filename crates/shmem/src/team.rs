@@ -3,14 +3,31 @@
 //! [`Team`] is the `#pragma omp parallel` analog: [`Team::parallel`] forks
 //! a team of threads, runs the region body in each, and joins them all —
 //! the fork-join pattern taught by the very first OpenMP patternlet.
-//! Threads are *scoped*, so the region body may borrow from the enclosing
-//! stack frame just like an OpenMP parallel region sees the enclosing
-//! scope's shared variables.
+//!
+//! The team is *hot*, as in a real OpenMP runtime: the calling thread runs
+//! team thread 0 (the encountering thread becomes the master), and threads
+//! `1..n` are persistent workers taken from one process-wide cache of
+//! parked threads, spawned only when it runs short and returned after the
+//! join. Nested and concurrent regions simply take more workers. Region
+//! bodies may borrow from the enclosing stack frame, as an OpenMP region
+//! sees the enclosing scope's shared variables: a region neither returns
+//! nor resumes a panic until every worker is done with it.
+//!
+//! Waits follow pdc-mpc's mailbox rule: poll for up to ~50 µs
+//! (`yield_now` every 64th poll), then park; teams wider than the host's
+//! core count, and all teams on a one-core host, park at once. The
+//! hand-off state lives in the persistent worker, so a region allocates
+//! nothing that another thread frees (DESIGN.md §7 has the measured
+//! reason).
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::hooks::{self, SyncEvent};
 use crate::sync::{Barrier, BarrierKind};
@@ -93,140 +110,289 @@ impl Team {
         F: Fn(&ThreadCtx) -> T + Sync,
         T: Send,
     {
-        let mut region = pdc_trace::span("shmem", "try_parallel");
-        region.arg("threads", self.num_threads);
-        let shared = RegionShared {
-            barrier: self.barrier_kind.build(self.num_threads),
-            criticals: CriticalRegistry::default(),
-        };
-        let mut results: Vec<Option<T>> = (0..self.num_threads).map(|_| None).collect();
-        let mut panics: Vec<Option<String>> = (0..self.num_threads).map(|_| None).collect();
-        let token = hooks::next_token();
-        hooks::emit(&SyncEvent::Fork {
-            token,
-            children: self.num_threads,
-        });
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(self.num_threads);
-            for (id, (slot, poison)) in results.iter_mut().zip(panics.iter_mut()).enumerate() {
-                let shared = &shared;
-                let body = &body;
-                handles.push(s.spawn(move || {
-                    hooks::emit(&SyncEvent::ChildStart {
-                        token,
-                        child_index: id,
-                    });
-                    let mut worker = pdc_trace::span("shmem", "worker");
-                    worker.arg("thread", id);
-                    let ctx = ThreadCtx {
-                        id,
-                        num_threads: shared.barrier.members(),
-                        shared,
-                    };
-                    // AssertUnwindSafe: on panic the thread's slot stays
-                    // None and the whole region returns Err, so no state
-                    // from the interrupted body is ever observed.
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
-                        Ok(v) => *slot = Some(v),
-                        Err(payload) => {
-                            *poison = Some(panic_message(&*payload));
-                            pdc_trace::counter("shmem", "worker_panics", 1);
-                        }
-                    }
-                    drop(worker);
-                    pdc_trace::flush_thread();
-                    hooks::emit(&SyncEvent::ChildEnd {
-                        token,
-                        child_index: id,
-                    });
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .expect("worker panics are caught inside the region");
-            }
-        });
-        hooks::emit(&SyncEvent::Join { token });
-        pdc_trace::counter("shmem", "parallel_regions", 1);
-        if let Some((thread, msg)) = panics
-            .iter()
-            .enumerate()
-            .find_map(|(i, p)| p.as_ref().map(|m| (i, m.clone())))
-        {
-            return Err(TeamError::WorkerPanicked {
+        self.fork_join(&WORKERS, "try_parallel", body)
+            .map_err(|(thread, payload)| TeamError::WorkerPanicked {
                 thread,
-                message: msg,
-            });
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("no panic implies every slot filled"))
-            .collect())
+                message: panic_message(&*payload),
+            })
     }
 
     /// Run `body` on every team thread and collect each thread's return
     /// value, ordered by thread id.
+    ///
+    /// A panic in any thread propagates out of the region (the lowest
+    /// panicking thread's original payload), like OpenMP aborting the
+    /// whole team on an uncaught exception.
     pub fn parallel_map<F, T>(&self, body: F) -> Vec<T>
     where
         F: Fn(&ThreadCtx) -> T + Sync,
         T: Send,
     {
-        let mut region = pdc_trace::span("shmem", "parallel");
-        region.arg("threads", self.num_threads);
+        match self.fork_join(&WORKERS, "parallel", body) {
+            Ok(results) => results,
+            Err((_, payload)) => std::panic::resume_unwind(payload),
+        }
+    }
+
+    /// The one fork-join path behind every region: run `body` as team
+    /// thread 0 on the caller and as threads `1..n` on workers from
+    /// `cache`, then return each thread's value in thread order, or the
+    /// lowest panicking thread's id and panic payload.
+    fn fork_join<F, T>(
+        &self,
+        cache: &WorkerCache,
+        span_name: &'static str,
+        body: F,
+    ) -> Result<Vec<T>, (usize, Box<dyn Any + Send>)>
+    where
+        F: Fn(&ThreadCtx) -> T + Sync,
+        T: Send,
+    {
+        let n = self.num_threads;
+        let mut region = pdc_trace::span("shmem", span_name);
+        region.arg("threads", n);
         let shared = RegionShared {
-            barrier: self.barrier_kind.build(self.num_threads),
+            barrier: self.barrier_kind.build(n),
             criticals: CriticalRegistry::default(),
         };
-        let mut results: Vec<Option<T>> = (0..self.num_threads).map(|_| None).collect();
+        let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let token = hooks::next_token();
-        hooks::emit(&SyncEvent::Fork {
-            token,
-            children: self.num_threads,
-        });
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(self.num_threads);
-            for (id, slot) in results.iter_mut().enumerate() {
-                let shared = &shared;
-                let body = &body;
-                handles.push(s.spawn(move || {
-                    hooks::emit(&SyncEvent::ChildStart {
-                        token,
-                        child_index: id,
-                    });
-                    let mut worker = pdc_trace::span("shmem", "worker");
-                    worker.arg("thread", id);
-                    let ctx = ThreadCtx {
-                        id,
-                        num_threads: shared.barrier.members(),
-                        shared,
-                    };
-                    *slot = Some(body(&ctx));
-                    // Close the span, then hand the thread's buffered
-                    // events to the registry: a scoped join only waits
-                    // for this closure, not for TLS destructors, so a
-                    // drop-time flush could race a post-join drain().
-                    drop(worker);
-                    pdc_trace::flush_thread();
-                    hooks::emit(&SyncEvent::ChildEnd {
-                        token,
-                        child_index: id,
-                    });
-                }));
+        let child = |id: usize| {
+            hooks::emit(&SyncEvent::ChildStart {
+                token,
+                child_index: id,
+            });
+            let mut worker = pdc_trace::span("shmem", "worker");
+            worker.arg("thread", id);
+            let ctx = ThreadCtx {
+                id,
+                num_threads: shared.barrier.members(),
+                shared: &shared,
+            };
+            // AssertUnwindSafe: a panicking thread's slot holds only the
+            // payload and the whole region reports the panic, so no state
+            // from the interrupted body is ever observed.
+            let outcome = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+            if outcome.is_err() {
+                pdc_trace::counter("shmem", "worker_panics", 1);
             }
-            for h in handles {
-                // Propagate panics out of the region, like OpenMP aborting
-                // the whole team on an uncaught exception.
-                if let Err(e) = h.join() {
-                    std::panic::resume_unwind(e);
-                }
-            }
-        });
+            *slots[id].lock() = Some(outcome);
+            // Close the span and flush: the join waits for this call, not
+            // for the thread's exit, so a post-join drain() sees only
+            // flushed events.
+            drop(worker);
+            pdc_trace::flush_thread();
+            hooks::emit(&SyncEvent::ChildEnd {
+                token,
+                child_index: id,
+            });
+        };
+        let spin = region_spin(n);
+        // Declared after everything `child` borrows, so dropped first.
+        let crew = Crew::hire(cache, n - 1, spin);
+        hooks::emit(&SyncEvent::Fork { token, children: n });
+        let run: &(dyn Fn(usize) + Sync) = &child;
+        // SAFETY: the workers are `'static` threads, but `run` borrows
+        // this frame (`child`, and through it `body`, `shared`, `slots`).
+        // Only workers in `crew` receive it, and `Crew`'s `Drop` — reached
+        // before any of those borrows end, on return and on unwind alike —
+        // blocks until no worker is busy. A worker clears `busy` only after
+        // its call to `run` has returned, and never uses the job again.
+        // Bodies run under `catch_unwind`, so a panic cannot skip the wait.
+        let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
+        for (i, worker) in crew.workers.iter().enumerate() {
+            worker.post(Job { run, index: i + 1 }, spin);
+        }
+        child(0);
+        drop(crew);
         hooks::emit(&SyncEvent::Join { token });
         pdc_trace::counter("shmem", "parallel_regions", 1);
-        results
+        // Collecting stops at the first (lowest-id) panic.
+        slots
             .into_iter()
-            .map(|r| r.expect("every team thread produced a result"))
+            .enumerate()
+            .map(|(id, slot)| {
+                let outcome = slot.into_inner().expect("every team thread ran its body");
+                outcome.map_err(|payload| (id, payload))
+            })
             .collect()
+    }
+}
+
+/// How long a hand-off wait polls before parking.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Spin budget of an `num_threads`-thread region: [`SPIN_BUDGET`] when
+/// every team thread can have a core, zero when the team is
+/// oversubscribed or the host has one core (a spinner would only delay
+/// the thread it waits on). The core count is read once per process.
+fn region_spin(num_threads: usize) -> Duration {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    if cores > 1 && num_threads <= cores {
+        SPIN_BUDGET
+    } else {
+        Duration::ZERO
+    }
+}
+
+/// Poll `ready` for up to `spin`, with `spin_loop` between polls and
+/// `yield_now` every 64th. Returns whether `ready` held.
+fn spin_until(spin: Duration, ready: impl Fn() -> bool) -> bool {
+    if spin.is_zero() {
+        return false;
+    }
+    let until = Instant::now() + spin;
+    let mut polls = 0u32;
+    while !ready() {
+        polls = polls.wrapping_add(1);
+        if !polls.is_multiple_of(64) {
+            std::hint::spin_loop();
+        } else if Instant::now() < until {
+            std::thread::yield_now();
+        } else {
+            return false;
+        }
+    }
+    true
+}
+
+/// One worker's share of a region: child `index` of the region whose
+/// child runner is `run`.
+struct Job {
+    run: &'static (dyn Fn(usize) + Sync),
+    index: usize,
+}
+
+/// A persistent team thread. The whole hand-off lives here rather than
+/// in a per-region object, so a region allocates nothing that the other
+/// side frees.
+struct Worker {
+    /// Set by `post`, cleared once the job's call has returned. Flipped
+    /// under `hands`' lock; spinners poll it without the lock.
+    busy: AtomicBool,
+    hands: Mutex<Hands>,
+    /// The worker parks here for a job, the region's caller for the join.
+    wake: Condvar,
+}
+
+/// The lock-protected half of a [`Worker`].
+struct Hands {
+    job: Option<Job>,
+    /// Spin budget of the region that posted last; the worker's wait for
+    /// its next job spins as long.
+    spin: Duration,
+    /// Threads parked on `wake`; a flip notifies only when there are any.
+    sleepers: usize,
+}
+
+impl Worker {
+    /// Start a worker thread whose first wait for a job spins for `spin`.
+    fn spawn(spin: Duration) -> Arc<Worker> {
+        let worker = Arc::new(Worker {
+            busy: AtomicBool::new(false),
+            hands: Mutex::new(Hands {
+                job: None,
+                spin,
+                sleepers: 0,
+            }),
+            wake: Condvar::new(),
+        });
+        let me = Arc::clone(&worker);
+        std::thread::Builder::new()
+            .name("pdc-team".to_owned())
+            .spawn(move || me.serve(spin))
+            .expect("spawn team worker");
+        worker
+    }
+
+    /// Hand `job` to this idle worker.
+    fn post(&self, job: Job, spin: Duration) {
+        let mut hands = self.hands.lock();
+        hands.job = Some(job);
+        hands.spin = spin;
+        self.flip(&hands, true);
+    }
+
+    /// Set `busy`; the caller holds `hands`' lock.
+    fn flip(&self, hands: &Hands, busy: bool) {
+        self.busy.store(busy, Ordering::Release);
+        if hands.sleepers > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Block until `busy` reads `want`: poll for `spin`, then park.
+    fn await_busy(&self, want: bool, spin: Duration) {
+        if spin_until(spin, || self.busy.load(Ordering::Acquire) == want) {
+            return;
+        }
+        let mut hands = self.hands.lock();
+        while self.busy.load(Ordering::Acquire) != want {
+            hands.sleepers += 1;
+            self.wake.wait(&mut hands);
+            hands.sleepers -= 1;
+        }
+    }
+
+    /// The worker thread: run posted jobs forever.
+    fn serve(&self, mut spin: Duration) {
+        loop {
+            self.await_busy(true, spin);
+            let job = {
+                let mut hands = self.hands.lock();
+                spin = hands.spin;
+                hands.job.take().expect("a busy worker has a job")
+            };
+            // The child runner catches its body's panics; this keeps the
+            // worker, and so the join, alive should instrumentation panic
+            // too (the region then finds the child's slot empty).
+            let _ = catch_unwind(AssertUnwindSafe(|| (job.run)(job.index)));
+            self.flip(&self.hands.lock(), false);
+        }
+    }
+}
+
+/// Parked workers not in any region.
+type WorkerCache = Mutex<Vec<Arc<Worker>>>;
+
+/// The process-wide worker cache behind every [`Team`].
+static WORKERS: WorkerCache = Mutex::new(Vec::new());
+
+/// The workers of one region. Dropping it waits until none is busy and
+/// returns them to their cache.
+struct Crew<'c> {
+    cache: &'c WorkerCache,
+    workers: Vec<Arc<Worker>>,
+    spin: Duration,
+}
+
+impl<'c> Crew<'c> {
+    /// Take `n` idle workers from `cache`, spawning any shortfall.
+    fn hire(cache: &'c WorkerCache, n: usize, spin: Duration) -> Self {
+        let mut idle = cache.lock();
+        let keep = idle.len().saturating_sub(n);
+        let workers = idle.split_off(keep);
+        drop(idle);
+        let mut crew = Crew {
+            cache,
+            workers,
+            spin,
+        };
+        while crew.workers.len() < n {
+            crew.workers.push(Worker::spawn(spin));
+        }
+        crew
+    }
+}
+
+impl Drop for Crew<'_> {
+    fn drop(&mut self) {
+        for worker in &self.workers {
+            worker.await_busy(false, self.spin);
+        }
+        self.cache.lock().append(&mut self.workers);
     }
 }
 
@@ -369,6 +535,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Serializes the tests whose regions panic, so the one that counts
+    /// `worker_panics` sees only its own.
+    fn serialize_panics() -> std::sync::MutexGuard<'static, ()> {
+        static PANICS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        PANICS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn every_thread_runs_once() {
         let team = Team::new(6);
@@ -509,6 +682,7 @@ mod tests {
 
     #[test]
     fn try_parallel_isolates_worker_panic() {
+        let _serial = serialize_panics();
         let team = Team::new(4);
         let err = team
             .try_parallel_map(|ctx| {
@@ -532,6 +706,7 @@ mod tests {
 
     #[test]
     fn try_parallel_reports_lowest_panicking_thread() {
+        let _serial = serialize_panics();
         let team = Team::new(3);
         let err = team.try_parallel(|_| panic!("all down")).unwrap_err();
         assert!(matches!(err, TeamError::WorkerPanicked { thread: 0, .. }));
@@ -546,6 +721,7 @@ mod tests {
 
     #[test]
     fn panic_in_region_propagates() {
+        let _serial = serialize_panics();
         let team = Team::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             team.parallel(|ctx| {
@@ -555,5 +731,141 @@ mod tests {
             });
         }));
         assert!(result.is_err());
+    }
+
+    mod hot_team {
+        use super::super::*;
+        use super::serialize_panics;
+        use std::sync::mpsc;
+        use std::thread::ThreadId;
+
+        #[test]
+        fn thread_zero_is_the_caller() {
+            let me = std::thread::current().id();
+            let ids: Vec<ThreadId> = Team::new(3).parallel_map(|_| std::thread::current().id());
+            assert_eq!(ids[0], me);
+            assert!(ids[1] != me && ids[2] != me && ids[1] != ids[2]);
+        }
+
+        #[test]
+        fn nested_regions_take_more_workers() {
+            let inner = Team::new(2);
+            let got = Team::new(2).parallel_map(|outer| {
+                let here = std::thread::current().id();
+                inner.parallel_map(|ctx| {
+                    let on_outer_thread = std::thread::current().id() == here;
+                    (outer.thread_num(), ctx.thread_num(), on_outer_thread)
+                })
+            });
+            assert_eq!(
+                got,
+                vec![
+                    vec![(0, 0, true), (0, 1, false)],
+                    vec![(1, 0, true), (1, 1, false)],
+                ]
+            );
+        }
+
+        #[test]
+        fn concurrent_regions_lose_no_wakeups() {
+            // 8 callers × 2000 regions on 2-thread teams. Random pauses of
+            // 0–200 µs on either side end waits both while the other side
+            // still spins and after it has parked; a lost wake-up hangs a
+            // region, so the callers run under a watchdog.
+            const CALLERS: usize = 8;
+            const REGIONS: usize = 2000;
+            let (tx, rx) = mpsc::channel();
+            for caller in 0..CALLERS {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let team = Team::new(2);
+                    let mut lcg = 0x9E37_79B9_7F4A_7C15u64 ^ caller as u64;
+                    let pause = |lcg: u64| {
+                        if (lcg >> 60) == 0 {
+                            std::thread::sleep(Duration::from_micros((lcg >> 32) % 200));
+                        }
+                    };
+                    let mut sum = 0;
+                    for r in 0..REGIONS {
+                        lcg = lcg
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        pause(lcg);
+                        let seed = lcg;
+                        let ids = team.parallel_map(|ctx| {
+                            pause(seed.rotate_left(ctx.thread_num() as u32 * 17));
+                            ctx.thread_num() + r
+                        });
+                        sum += ids.iter().sum::<usize>();
+                    }
+                    let _ = tx.send(sum);
+                });
+            }
+            let expect = (0..REGIONS).map(|r| 2 * r + 1).sum::<usize>();
+            for _ in 0..CALLERS {
+                let sum = rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .expect("a region stalled: a wake-up was lost");
+                assert_eq!(sum, expect);
+            }
+        }
+
+        #[test]
+        fn survives_a_panic_without_growing_the_cache() {
+            let _serial = serialize_panics();
+            let cache = WorkerCache::default();
+            let team = Team::new(2);
+            let err = team
+                .fork_join(&cache, "try_parallel", |ctx| {
+                    if ctx.thread_num() == 1 {
+                        panic!("worker down");
+                    }
+                })
+                .unwrap_err();
+            assert_eq!(err.0, 1);
+            assert_eq!(cache.lock().len(), 1);
+            for r in 0..100 {
+                let got = team.fork_join(&cache, "try_parallel", |ctx| ctx.thread_num() + r);
+                assert_eq!(got.ok(), Some(vec![r, r + 1]));
+            }
+            assert_eq!(cache.lock().len(), 1, "the panicked worker was replaced");
+        }
+
+        #[test]
+        fn spin_budget_follows_the_core_count() {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let spins = |n: usize| {
+                let cache = WorkerCache::default();
+                Team::new(n).fork_join(&cache, "parallel", |_| ()).unwrap();
+                let idle = cache.lock();
+                assert_eq!(idle.len(), n - 1);
+                idle.iter().map(|w| w.hands.lock().spin).collect::<Vec<_>>()
+            };
+            // Oversubscribed: the workers and the caller park at once.
+            assert_eq!(region_spin(cores + 1), Duration::ZERO);
+            assert!(spins(cores + 1).iter().all(|s| s.is_zero()));
+            // A core per thread: spin, unless the host has only one core.
+            assert_eq!(region_spin(cores).is_zero(), cores == 1);
+            assert!(spins(cores).iter().all(|s| s.is_zero() == (cores == 1)));
+        }
+
+        #[test]
+        fn counts_one_worker_panic_per_panicking_thread() {
+            let _serial = serialize_panics();
+            let team = Team::new(4);
+            let (result, events) = pdc_trace::with_tracing(|| {
+                team.try_parallel(|ctx| {
+                    if ctx.thread_num() % 2 == 1 {
+                        panic!("odd thread down");
+                    }
+                })
+            });
+            assert!(matches!(
+                result,
+                Err(TeamError::WorkerPanicked { thread: 1, .. })
+            ));
+            let panics = pdc_trace::export::counter_total(&events, "shmem", "worker_panics");
+            assert_eq!(panics, 2);
+        }
     }
 }

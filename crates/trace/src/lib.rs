@@ -237,9 +237,10 @@ fn push(kind: EventKind, category: &'static str, name: &'static str, ts_ns: u64,
 
 /// Park the calling thread's buffered events in the shared registry so
 /// a later [`drain`] (from any thread) sees them. Worker threads must
-/// call this before their closure returns: scoped-thread joins only
-/// wait for the closure, not for TLS destructors, so relying on the
-/// drop-time flush alone can race with `drain`. Both runtimes call this
+/// call this before their work returns: a scoped-thread join waits only
+/// for the closure, not for TLS destructors, and a hot-team worker never
+/// exits at all, so relying on the drop-time flush alone can race with
+/// (or never reach) `drain`. Both runtimes call this
 /// at their join points; the destructor remains as a backstop for
 /// ad-hoc threads.
 pub fn flush_thread() {
