@@ -103,9 +103,9 @@ fn unmatched_sends(run: &RunRecord, diags: &mut Vec<Diagnostic>) {
                 dst,
                 tag,
                 user: true,
-                delivered: true,
+                copies,
                 ..
-            } => *balance.entry((op.rank, dst, tag)).or_default() += 1,
+            } if copies > 0 => *balance.entry((op.rank, dst, tag)).or_default() += 1,
             OpKind::RecvDone {
                 src,
                 tag,
@@ -445,7 +445,7 @@ mod tests {
                     tag: 3,
                     bytes: 8,
                     user: true,
-                    delivered: true,
+                    copies: 1,
                 },
             ),
             (
@@ -508,7 +508,7 @@ mod tests {
                     tag: 9,
                     bytes: 4,
                     user: true,
-                    delivered: true,
+                    copies: 1,
                 },
             ),
             (
@@ -609,7 +609,7 @@ mod tests {
                     tag: -7,
                     bytes: 4,
                     user: false,
-                    delivered: true,
+                    copies: 1,
                 },
             ),
             (

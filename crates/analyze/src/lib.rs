@@ -17,10 +17,12 @@
 //!   patternlet must be *detected* by the race detector, the known-clean
 //!   ones must not be flagged, and courseware references must resolve.
 //!
-//! Because both runtimes publish their events through process-global
-//! hooks, analyses that *run* code are serialized behind a session lock —
-//! use the [`with_race_analysis`] / [`with_comm_analysis`] harnesses (or
-//! [`lint::lint_catalog`], which batches everything under one lock).
+//! The harnesses that *run* code — [`with_race_analysis`],
+//! [`with_comm_analysis`], [`with_comm_records`] and
+//! [`lint::lint_catalog`] — scope their observers to the calling thread
+//! and the threads it starts (`pdc_shmem::hooks::observe`,
+//! `pdc_mpc::analysis::record_into`), so any number of them may run at
+//! once, next to unobserved code, without seeing each other's events.
 
 pub mod comm;
 pub mod lint;
@@ -31,7 +33,6 @@ pub mod vc;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
 use serde::Serialize;
 
 pub use race::{Evidence, RaceDetector};
@@ -117,74 +118,22 @@ pub fn canonicalize(mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
     diags
 }
 
-// ----------------------------------------------------------------------
-// The session lock: the shmem observer slot and the mpc ambient log are
-// process-global, so only one analysis harness may run at a time.
-// ----------------------------------------------------------------------
-
-static SESSION: Mutex<()> = Mutex::new(());
-
-pub(crate) fn session() -> MutexGuard<'static, ()> {
-    SESSION.lock()
-}
-
-/// Clears the shmem observer even if the analyzed closure panics.
-struct ObserverGuard;
-
-impl Drop for ObserverGuard {
-    fn drop(&mut self) {
-        pdc_shmem::hooks::clear_observer();
-    }
-}
-
-/// Disarms the ambient mpc log even if the analyzed closure panics.
-struct AmbientGuard;
-
-impl Drop for AmbientGuard {
-    fn drop(&mut self) {
-        pdc_mpc::analysis::disarm();
-    }
-}
-
-pub(crate) fn race_analysis_unlocked<R>(f: impl FnOnce() -> R) -> (R, Evidence, Vec<Diagnostic>) {
-    let detector = Arc::new(RaceDetector::new());
-    pdc_shmem::hooks::set_observer(detector.clone());
-    let guard = ObserverGuard;
-    let result = f();
-    drop(guard);
-    let (evidence, diags) = detector.report();
-    (result, evidence, diags)
-}
-
-pub(crate) fn comm_analysis_unlocked<R>(
-    f: impl FnOnce() -> R,
-) -> (R, Vec<pdc_mpc::analysis::RunRecord>, Vec<Diagnostic>) {
-    let log = pdc_mpc::CommLog::new();
-    pdc_mpc::analysis::arm(log.clone());
-    let guard = AmbientGuard;
-    let result = f();
-    drop(guard);
-    let runs = log.take();
-    let diags = comm::analyze_runs(&runs);
-    (result, runs, diags)
-}
-
 /// Run `f` under the shared-memory race detector and return its result
 /// plus any data-race diagnostics. Fork/join, lock, and barrier edges
 /// from `pdc-shmem` order the accesses; unordered conflicting accesses
 /// to the same tracked cell are flagged with both source sites.
 pub fn with_race_analysis<R>(f: impl FnOnce() -> R) -> (R, Vec<Diagnostic>) {
-    let _session = session();
-    let (result, _evidence, diags) = race_analysis_unlocked(f);
+    let detector = Arc::new(RaceDetector::new());
+    let result = pdc_shmem::hooks::observe(detector.clone(), f);
+    let (_evidence, diags) = detector.report();
     (result, diags)
 }
 
-/// Run `f` with a [`pdc_mpc::CommLog`] armed ambiently, then analyze
-/// every `World::run` it performed for collective mismatches, unmatched
+/// Run `f` with a [`pdc_mpc::CommLog`] in scope, then analyze every
+/// `World::run` it performed for collective mismatches, unmatched
 /// sends, and wait-for deadlock cycles.
 pub fn with_comm_analysis<R>(f: impl FnOnce() -> R) -> (R, Vec<Diagnostic>) {
-    let _session = session();
-    let (result, _runs, diags) = comm_analysis_unlocked(f);
+    let (result, _runs, diags) = with_comm_records(f);
     (result, diags)
 }
 
@@ -193,8 +142,11 @@ pub fn with_comm_analysis<R>(f: impl FnOnce() -> R) -> (R, Vec<Diagnostic>) {
 pub fn with_comm_records<R>(
     f: impl FnOnce() -> R,
 ) -> (R, Vec<pdc_mpc::analysis::RunRecord>, Vec<Diagnostic>) {
-    let _session = session();
-    comm_analysis_unlocked(f)
+    let log = pdc_mpc::CommLog::new();
+    let result = pdc_mpc::analysis::record_into(&log, f);
+    let runs = log.take();
+    let diags = comm::analyze_runs(&runs);
+    (result, runs, diags)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * shared-memory patternlets run under the race detector, which doubles
 //!   as an evidence recorder (forks, lock acquires, atomic accesses,
 //!   barrier arrivals);
-//! * message-passing patternlets run with a [`pdc_mpc::CommLog`] armed,
+//! * message-passing patternlets run with a [`pdc_mpc::CommLog`] in scope,
 //!   and the recorded operations are the evidence.
 //!
 //! Two behaviour checks are the detectors' own acceptance tests:
@@ -18,12 +18,13 @@
 //! and every other patternlet must come back clean.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use pdc_courseware::module::{Block, Module};
 use pdc_mpc::analysis::{OpKind, RunRecord};
 use pdc_patternlets::{registry, Paradigm, Pattern, Patternlet};
 
-use crate::race::Evidence;
+use crate::race::{Evidence, RaceDetector};
 use crate::{canonicalize, Detector, Diagnostic, Severity};
 
 fn lint(code: &str, severity: Severity, message: String) -> Diagnostic {
@@ -182,7 +183,9 @@ fn check_mp_evidence(p: &Patternlet, runs: &[RunRecord], diags: &mut Vec<Diagnos
 fn lint_one(p: &'static Patternlet, diags: &mut Vec<Diagnostic>) {
     match p.paradigm {
         Paradigm::SharedMemory => {
-            let (out, evidence, races) = crate::race_analysis_unlocked(|| p.run(2));
+            let detector = Arc::new(RaceDetector::new());
+            let out = pdc_shmem::hooks::observe(detector.clone(), || p.run(2));
+            let (evidence, races) = detector.report();
             if out.lines.is_empty() {
                 diags.push(lint(
                     "lint.no-output",
@@ -215,7 +218,7 @@ fn lint_one(p: &'static Patternlet, diags: &mut Vec<Diagnostic>) {
             }
         }
         Paradigm::MessagePassing => {
-            let (out, runs, comm_diags) = crate::comm_analysis_unlocked(|| p.run(2));
+            let (out, runs, comm_diags) = crate::with_comm_records(|| p.run(2));
             if out.lines.is_empty() {
                 diags.push(lint(
                     "lint.no-output",
@@ -302,10 +305,8 @@ fn structural_lints(diags: &mut Vec<Diagnostic>) {
 }
 
 /// Lint the whole patternlet catalog: structure plus behaviour. Runs
-/// every patternlet once at n=2 under the matching detector, so this
-/// takes the analysis session lock for its whole duration.
+/// every patternlet once at n=2 under the matching detector.
 pub fn lint_catalog() -> Vec<Diagnostic> {
-    let _session = crate::session();
     let mut diags = Vec::new();
     structural_lints(&mut diags);
     for p in registry::all() {
@@ -316,7 +317,7 @@ pub fn lint_catalog() -> Vec<Diagnostic> {
 
 /// Lint one courseware module: every code listing and ActiveCode block
 /// that claims to be backed by a patternlet must resolve in the registry.
-/// Purely structural — safe to call without the session lock.
+/// Purely structural: runs no code.
 pub fn lint_module(module: &Module) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut check = |where_: String, id: &str| {

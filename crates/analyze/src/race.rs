@@ -285,10 +285,9 @@ impl State {
     }
 }
 
-/// The vector-clock race detector. Register it with
-/// [`pdc_shmem::hooks::set_observer`] (the [`crate::with_race_analysis`]
-/// harness does this for you), run the code under test, then call
-/// [`RaceDetector::report`].
+/// The vector-clock race detector. Run the code under test inside
+/// [`pdc_shmem::hooks::observe`] with it (the [`crate::with_race_analysis`]
+/// harness does this for you), then call [`RaceDetector::report`].
 #[derive(Default)]
 pub struct RaceDetector {
     state: Mutex<State>,

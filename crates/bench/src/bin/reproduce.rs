@@ -156,59 +156,47 @@ fn main() {
 
     // (experiment id, wall seconds) for the machine-readable report.
     let mut timings: Vec<(String, f64)> = Vec::new();
-    let mut chaos_failed = false;
-    if let Some(seed) = cli.chaos {
-        let start = Instant::now();
-        let report = pdc_core::chaos::module_b_chaos_study(seed, pdc_core::study::Scale::Quick);
-        timings.push(("moduleB-chaos".to_owned(), start.elapsed().as_secs_f64()));
-        println!("{}", report.render());
-        std::fs::create_dir_all("artifacts")
-            .and_then(|()| std::fs::write("artifacts/BENCH_chaos.json", report.to_json()))
-            .unwrap_or_else(|e| {
-                eprintln!("failed to write artifacts/BENCH_chaos.json: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("wrote artifacts/BENCH_chaos.json");
-        chaos_failed = !report.all_recovered();
-    }
+    let chaos_failed = cli.chaos.is_some_and(|seed| {
+        let report = run_study(
+            &mut timings,
+            "moduleB-chaos",
+            "BENCH_chaos.json",
+            || pdc_core::chaos::module_b_chaos_study(seed, pdc_core::study::Scale::Quick),
+            |r| (r.render(), r.to_json()),
+        );
+        !report.all_recovered()
+    });
 
-    let mut net_failed = false;
-    if let Some(seed) = cli.net {
+    let net_failed = cli.net.is_some_and(|seed| {
         let exe = std::env::current_exe().unwrap_or_else(|e| {
             eprintln!("cannot locate own executable for rank launch: {e}");
             std::process::exit(1);
         });
-        let start = Instant::now();
-        let report = pdc_core::netstudy::net_study(seed, pdc_core::study::Scale::Quick, &exe)
-            .unwrap_or_else(|e| {
-                eprintln!("wire study launch failed: {e}");
-                std::process::exit(1);
-            });
-        timings.push(("moduleB-net".to_owned(), start.elapsed().as_secs_f64()));
-        println!("{}", report.render());
-        std::fs::create_dir_all("artifacts")
-            .and_then(|()| std::fs::write("artifacts/BENCH_net.json", report.to_json()))
-            .unwrap_or_else(|e| {
-                eprintln!("failed to write artifacts/BENCH_net.json: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("wrote artifacts/BENCH_net.json");
-        net_failed = !report.passed();
-    }
+        let report = run_study(
+            &mut timings,
+            "moduleB-net",
+            "BENCH_net.json",
+            || {
+                pdc_core::netstudy::net_study(seed, pdc_core::study::Scale::Quick, &exe)
+                    .unwrap_or_else(|e| {
+                        eprintln!("wire study launch failed: {e}");
+                        std::process::exit(1);
+                    })
+            },
+            |r| (r.render(), r.to_json()),
+        );
+        !report.passed()
+    });
 
     let mut insight_failed = false;
     if cli.insight {
-        let start = Instant::now();
-        let report = pdc_core::insight::insight_report();
-        timings.push(("insight-study".to_owned(), start.elapsed().as_secs_f64()));
-        println!("{}", report.render());
-        std::fs::create_dir_all("artifacts")
-            .and_then(|()| std::fs::write("artifacts/BENCH_insight.json", report.to_json()))
-            .unwrap_or_else(|e| {
-                eprintln!("failed to write artifacts/BENCH_insight.json: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("wrote artifacts/BENCH_insight.json");
+        let report = run_study(
+            &mut timings,
+            "insight-study",
+            "BENCH_insight.json",
+            pdc_core::insight::insight_report,
+            |r| (r.render(), r.to_json()),
+        );
         insight_failed = !report.passed();
 
         // Illustrative artifacts: really run the Module A/B studies
@@ -260,23 +248,16 @@ fn main() {
         eprintln!("wrote artifacts/insight_dashboard.html, artifacts/insight_flame.txt");
     }
 
-    let mut analyze_failed = false;
-    let mut analysis_report: Option<pdc_core::analysis::AnalysisReport> = None;
-    if cli.analyze {
-        let start = Instant::now();
-        let report = pdc_core::analysis::full_analysis(pdc_core::study::Scale::Quick);
-        timings.push(("analysis-study".to_owned(), start.elapsed().as_secs_f64()));
-        println!("{}", report.render());
-        std::fs::create_dir_all("artifacts")
-            .and_then(|()| std::fs::write("artifacts/BENCH_analyze.json", report.to_json()))
-            .unwrap_or_else(|e| {
-                eprintln!("failed to write artifacts/BENCH_analyze.json: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("wrote artifacts/BENCH_analyze.json");
-        analyze_failed = !report.passed();
-        analysis_report = Some(report);
-    }
+    let analysis_report = cli.analyze.then(|| {
+        run_study(
+            &mut timings,
+            "analysis-study",
+            "BENCH_analyze.json",
+            || pdc_core::analysis::full_analysis(pdc_core::study::Scale::Quick),
+            |r| (r.render(), r.to_json()),
+        )
+    });
+    let analyze_failed = analysis_report.as_ref().is_some_and(|r| !r.passed());
 
     if cli.chaos.is_none() && !cli.analyze && cli.net.is_none() && !cli.insight {
         match cli.id.as_deref() {
@@ -351,6 +332,32 @@ fn main() {
         eprintln!("insight study: inconsistent report (see artifacts/BENCH_insight.json)");
         std::process::exit(1);
     }
+}
+
+/// Run one `--<mode>` study: time it as `id`, print its rendered report
+/// and write its JSON to `artifacts/<artifact>`; `show` gives both.
+/// Exits the process when the artifact cannot be written.
+fn run_study<R>(
+    timings: &mut Vec<(String, f64)>,
+    id: &str,
+    artifact: &str,
+    study: impl FnOnce() -> R,
+    show: impl FnOnce(&R) -> (String, String),
+) -> R {
+    let start = Instant::now();
+    let report = study();
+    timings.push((id.to_owned(), start.elapsed().as_secs_f64()));
+    let (rendered, json) = show(&report);
+    println!("{rendered}");
+    let path = format!("artifacts/{artifact}");
+    std::fs::create_dir_all("artifacts")
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        });
+    eprintln!("wrote {path}");
+    report
 }
 
 /// Cross-check the analysis artifact against the `analyze/...` counters

@@ -34,8 +34,8 @@ const NOMINAL_A_S: f64 = 4.0;
 const NOMINAL_B_S: f64 = 10.0;
 
 /// A tiny deterministic generator for the synthetic wait/RTT samples
-/// (`pdc_chaos` keeps its own copy of the same constants; insight's
-/// distributions just need to be fixed, not shared).
+/// (insight's distributions just need to be fixed, not shared with any
+/// other generator).
 struct Lcg(u64);
 
 impl Lcg {

@@ -1,24 +1,29 @@
-//! Per-rank communication recording for the `pdc-analyze` detectors.
+//! Per-rank operation recording: the one op stream of a thread-mode
+//! [`World`](crate::World) run.
 //!
-//! When a [`CommLog`] is attached to a [`World`](crate::World) — via
-//! [`World::with_analysis`](crate::World::with_analysis) or the ambient
-//! [`arm`]/[`disarm`] pair — every rank's operations are recorded at the
-//! runtime's existing chokepoints: the single send path
-//! (`send_bytes_inner`), the single receive path (`recv_bytes_internal`),
-//! and the per-collective trace span (`cspan`). Each operation carries the
-//! acting rank and a per-rank sequence number, so an analyzer can replay
-//! each rank's program order and compare orders *across* ranks.
+//! A run records when a [`CommLog`] is in scope on the thread that calls
+//! `World::run` ([`record_into`]) or when it is
+//! [`World::run_traced`](crate::World::run_traced). Every rank's
+//! operations are then recorded at the runtime's existing chokepoints:
+//! the single send path (`send_bytes_inner`), the single receive path
+//! (`recv_bytes_internal`), and the per-collective trace span (`cspan`).
+//! Each operation carries the acting rank and a per-rank sequence
+//! number, so an analyzer can replay each rank's program order and
+//! compare orders *across* ranks. The run's
+//! [`TrafficMatrix`] is folded from the same stream's sends.
 //!
 //! The recording is deliberately dumb: no interpretation happens here.
 //! The wait-for graph, collective-mismatch, and unmatched-send analyses
 //! all live in `pdc-analyze`, keeping this crate free of any dependency
 //! on the analysis layer (the same inversion `pdc-trace` uses).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::envelope::{Source, Tag, TagSel};
 use crate::error::MpcError;
+use crate::traffic::TrafficMatrix;
 
 /// One recorded operation kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,9 +38,10 @@ pub enum OpKind {
         bytes: usize,
         /// Whether this was user traffic (non-negative tag).
         user: bool,
-        /// Whether a copy actually reached the destination mailbox
-        /// (`false` when the fault injector dropped it).
-        delivered: bool,
+        /// Copies that reached the destination mailbox: 1 normally, 0
+        /// when the fault injector dropped the message, 2 when it
+        /// duplicated it.
+        copies: u8,
     },
     /// A receive completed on this rank.
     RecvDone {
@@ -100,10 +106,9 @@ impl RunRecord {
     }
 }
 
-/// A shared, cloneable sink for communication records. Attach one to a
-/// [`World`](crate::World) with
-/// [`World::with_analysis`](crate::World::with_analysis), run, then
-/// [`CommLog::take`] the per-run records for analysis.
+/// A shared, cloneable sink for communication records. Run worlds inside
+/// [`record_into`], then [`CommLog::take`] the per-run records for
+/// analysis.
 #[derive(Debug, Clone, Default)]
 pub struct CommLog {
     inner: Arc<CommLogInner>,
@@ -135,16 +140,6 @@ impl CommLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    pub(crate) fn start_run(&self, np: usize) -> RunRecorder {
-        RunRecorder {
-            log: self.clone(),
-            run: self.inner.next_run.fetch_add(1, Ordering::Relaxed),
-            np,
-            seqs: (0..np).map(|_| AtomicUsize::new(0)).collect(),
-            ops: Mutex::new(Vec::new()),
-        }
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -154,29 +149,52 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Live recorder for one `World::run`; held by the fabric.
 #[derive(Debug)]
 pub(crate) struct RunRecorder {
-    log: CommLog,
-    run: usize,
+    /// Where the finished run is published, with its index there.
+    log: Option<(CommLog, usize)>,
     np: usize,
     seqs: Vec<AtomicUsize>,
-    ops: Mutex<Vec<CommOp>>,
+    /// `None` once the run is finished.
+    ops: Mutex<Option<Vec<CommOp>>>,
 }
 
 impl RunRecorder {
-    pub(crate) fn record(&self, rank: usize, kind: OpKind) {
-        let seq = self.seqs[rank].fetch_add(1, Ordering::Relaxed);
-        lock(&self.ops).push(CommOp { rank, seq, kind });
+    /// A recorder for one `np`-rank run, publishing to `log` if given.
+    pub(crate) fn new(np: usize, log: Option<CommLog>) -> Self {
+        Self {
+            log: log.map(|log| {
+                let run = log.inner.next_run.fetch_add(1, Ordering::Relaxed);
+                (log, run)
+            }),
+            np,
+            seqs: (0..np).map(|_| AtomicUsize::new(0)).collect(),
+            ops: Mutex::new(Some(Vec::new())),
+        }
     }
 
-    /// Called once, after every rank has been joined: publish the run.
-    /// (`&self` because the recorder lives inside the `Arc`-shared
-    /// fabric; the drained ops make a second call a harmless no-op.)
-    pub(crate) fn finish(&self) {
-        let ops = std::mem::take(&mut *lock(&self.ops));
-        lock(&self.log.inner.runs).push(RunRecord {
-            run: self.run,
-            np: self.np,
-            ops,
-        });
+    pub(crate) fn record(&self, rank: usize, kind: OpKind) {
+        let seq = self.seqs[rank].fetch_add(1, Ordering::Relaxed);
+        if let Some(ops) = lock(&self.ops).as_mut() {
+            ops.push(CommOp { rank, seq, kind });
+        }
+    }
+
+    /// Called after every rank has been joined: publish the run to the
+    /// log, if any, and return its traffic. A second call publishes
+    /// nothing and returns empty traffic. (`&self` because the recorder
+    /// lives inside the `Arc`-shared fabric.)
+    pub(crate) fn finish(&self) -> TrafficMatrix {
+        let Some(ops) = lock(&self.ops).take() else {
+            return TrafficMatrix::fold(self.np, &[]);
+        };
+        let traffic = TrafficMatrix::fold(self.np, &ops);
+        if let Some((log, run)) = &self.log {
+            lock(&log.inner.runs).push(RunRecord {
+                run: *run,
+                np: self.np,
+                ops,
+            });
+        }
+        traffic
     }
 }
 
@@ -206,40 +224,28 @@ pub(crate) fn failed_tag(tag: TagSel) -> Option<Tag> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Ambient (process-global) attachment, mirroring the pdc-trace design:
-// lets harnesses record worlds they don't construct themselves (e.g. the
-// patternlet runners, which build their own `World`).
-// ----------------------------------------------------------------------
-
-static AMBIENT_ON: AtomicBool = AtomicBool::new(false);
-static AMBIENT: RwLock<Option<CommLog>> = RwLock::new(None);
-
-/// Attach `log` to every `World::run` in this process that does not carry
-/// its own [`World::with_analysis`](crate::World::with_analysis) log,
-/// until [`disarm`] is called.
-/// Harnesses are expected to serialize themselves (the ones in
-/// `pdc-analyze` hold a session lock).
-pub fn arm(log: CommLog) {
-    *AMBIENT.write().unwrap_or_else(|e| e.into_inner()) = Some(log);
-    AMBIENT_ON.store(true, Ordering::SeqCst);
+thread_local! {
+    static SCOPED: RefCell<Option<CommLog>> = const { RefCell::new(None) };
 }
 
-/// Detach the ambient log.
-pub fn disarm() {
-    AMBIENT_ON.store(false, Ordering::SeqCst);
-    *AMBIENT.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-pub(crate) fn ambient() -> Option<CommLog> {
-    if !AMBIENT_ON.load(Ordering::Relaxed) {
-        return None;
+/// Run `f` with every `World::run` it calls on this thread recorded into
+/// `log`, one [`RunRecord`] per run. Worlds that other threads run at
+/// the same time are not recorded. The previous log comes back when `f`
+/// returns or unwinds.
+pub fn record_into<R>(log: &CommLog, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<CommLog>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|slot| *slot.borrow_mut() = self.0.take());
+        }
     }
-    AMBIENT
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .cloned()
+    let _restore = Restore(SCOPED.with(|slot| slot.borrow_mut().replace(log.clone())));
+    f()
+}
+
+/// The log of the calling thread's [`record_into`] scope, if any.
+pub(crate) fn scoped_log() -> Option<CommLog> {
+    SCOPED.with(|slot| slot.borrow().clone())
 }
 
 #[cfg(test)]
@@ -250,7 +256,7 @@ mod tests {
     fn log_starts_empty_and_runs_accumulate() {
         let log = CommLog::new();
         assert!(log.is_empty());
-        let rec = log.start_run(2);
+        let rec = RunRecorder::new(2, Some(log.clone()));
         rec.record(
             0,
             OpKind::Send {
@@ -258,7 +264,7 @@ mod tests {
                 tag: 0,
                 bytes: 4,
                 user: true,
-                delivered: true,
+                copies: 1,
             },
         );
         rec.record(
@@ -269,7 +275,9 @@ mod tests {
                 user: true,
             },
         );
-        rec.finish();
+        assert_eq!(rec.finish().total_messages(), 1);
+        // A second finish publishes nothing.
+        assert_eq!(rec.finish().total_messages(), 0);
         let runs = log.take();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].np, 2);
@@ -281,7 +289,7 @@ mod tests {
     #[test]
     fn per_rank_sequence_numbers_are_dense() {
         let log = CommLog::new();
-        let rec = log.start_run(1);
+        let rec = RunRecorder::new(1, Some(log.clone()));
         for _ in 0..3 {
             rec.record(
                 0,

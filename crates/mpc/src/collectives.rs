@@ -53,12 +53,12 @@ impl Comm {
     /// of the call. Each rank records its own span, so a timeline shows
     /// who arrived late (skew) and who waited.
     ///
-    /// Also the collective chokepoint for the communication log: every
-    /// public collective opens exactly one `cspan`, so recording here
-    /// gives the analyzer one `Collective` entry per rank per call — the
-    /// per-rank sequences the mismatch detector compares.
+    /// Also the collective chokepoint for the op stream: every public
+    /// collective opens exactly one `cspan`, so recording here gives the
+    /// analyzer one `Collective` entry per rank per call — the per-rank
+    /// sequences the mismatch detector compares.
     fn cspan(&self, name: &'static str) -> pdc_trace::SpanGuard {
-        if let Some(rec) = &self.fabric.analysis {
+        if let Some(rec) = &self.fabric.recorder {
             rec.record(
                 self.world_rank(self.rank),
                 crate::analysis::OpKind::Collective {

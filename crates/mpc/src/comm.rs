@@ -8,6 +8,9 @@ use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use pdc_chaos::SendFault;
+
+use crate::analysis::{self, OpKind};
 use crate::envelope::{Envelope, Source, Tag, TagSel};
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
@@ -140,12 +143,12 @@ impl Comm {
         self.check_rank(dest)?;
         let src_w = self.world_rank(self.rank);
         let dst_w = self.world_rank(dest);
-        let payload_len = payload.len();
+        let bytes = payload.len();
         let mut span = pdc_trace::span("mpc", "send");
         span.arg("src", src_w);
         span.arg("dst", dst_w);
         span.arg("tag", tag);
-        span.arg("bytes", payload.len());
+        span.arg("bytes", bytes);
         let env = Envelope {
             comm_id: self.comm_id,
             src: self.rank,
@@ -164,18 +167,54 @@ impl Comm {
                 }
             }
         }
-        let mailboxes = match &self.fabric.route {
-            Route::Threads(mailboxes) => mailboxes,
-            Route::Wire { local, transport } => {
-                if dst_w == transport.rank() {
-                    // Self-send: a loopback deposit, never a wire frame.
-                    if let Some(traffic) = &self.fabric.traffic {
-                        traffic.record(src_w, dst_w, env.payload.len());
+        let copies = match &self.fabric.route {
+            Route::Threads(mailboxes) => {
+                let mailbox = &mailboxes[dst_w];
+                let verdict = match &self.fabric.injector {
+                    // Internal collective traffic (negative tags) rides the
+                    // reliable control plane: injected faults apply to user
+                    // messages only, ULFM-style.
+                    Some(inj) if !exempt => inj.on_send(src_w, dst_w, tag >= 0),
+                    _ => SendFault::Deliver,
+                };
+                match verdict {
+                    SendFault::Deliver => {
+                        mailbox.deposit(env);
+                        1
                     }
-                    local.deposit(env);
-                    self.record_send(src_w, dst_w, tag, payload_len, true);
-                    return Ok(SendOutcome::Delivered);
+                    SendFault::Drop => {
+                        span.arg("fault", "drop");
+                        0
+                    }
+                    SendFault::Duplicate => {
+                        span.arg("fault", "duplicate");
+                        let twin = Envelope {
+                            sync_ack: None, // only one copy carries the ssend latch
+                            ..env.clone()
+                        };
+                        mailbox.deposit(env);
+                        mailbox.deposit(twin);
+                        2
+                    }
+                    SendFault::Delay(extra) => {
+                        span.arg("fault", "delay");
+                        std::thread::sleep(extra);
+                        mailbox.deposit(env);
+                        1
+                    }
+                    SendFault::Reorder => {
+                        span.arg("fault", "reorder");
+                        mailbox.deposit_front(env);
+                        1
+                    }
                 }
+            }
+            // Self-send: a loopback deposit, never a wire frame.
+            Route::Wire { local, transport } if dst_w == transport.rank() => {
+                local.deposit(env);
+                1
+            }
+            Route::Wire { transport, .. } => {
                 // Remote: register the ack latch (if any) and frame the
                 // message. Frame-level faults are a fault-injecting
                 // transport wrapper's business, not the chokepoint's —
@@ -194,101 +233,37 @@ impl Comm {
                     overtake: false,
                     exempt,
                 };
-                return match transport.send_frame(dst_w, frame) {
-                    Ok(FrameOutcome::Sent) => {
-                        if let Some(traffic) = &self.fabric.traffic {
-                            traffic.record(src_w, dst_w, payload_len);
-                        }
-                        self.record_send(src_w, dst_w, tag, payload_len, true);
-                        Ok(SendOutcome::Delivered)
-                    }
-                    Ok(FrameOutcome::InjectedDrop) => {
-                        span.arg("fault", "drop");
-                        if ack_id != 0 {
-                            self.fabric.acks.take(ack_id);
-                        }
-                        self.record_send(src_w, dst_w, tag, payload_len, false);
-                        Ok(SendOutcome::InjectedDrop)
-                    }
-                    Err(e) => {
-                        if ack_id != 0 {
-                            self.fabric.acks.take(ack_id);
-                        }
-                        Err(e)
-                    }
-                };
-            }
-        };
-        // Traffic is recorded per *delivered* copy (drops don't count,
-        // duplicates count twice), so the matrix reflects what actually
-        // crossed the wire.
-        let deliver = |env: Envelope| {
-            if let Some(traffic) = &self.fabric.traffic {
-                traffic.record(src_w, dst_w, env.payload.len());
-            }
-            mailboxes[dst_w].deposit(env);
-        };
-        let Some(inj) = &self.fabric.injector else {
-            deliver(env);
-            self.record_send(src_w, dst_w, tag, payload_len, true);
-            return Ok(SendOutcome::Delivered);
-        };
-        let verdict = if exempt {
-            pdc_chaos::SendFault::Deliver
-        } else {
-            // Internal collective traffic (negative tags) rides the
-            // reliable control plane: injected faults apply to user
-            // messages only, ULFM-style.
-            inj.on_send(src_w, dst_w, tag >= 0)
-        };
-        match verdict {
-            pdc_chaos::SendFault::Deliver => deliver(env),
-            pdc_chaos::SendFault::Drop => {
-                span.arg("fault", "drop");
-                self.record_send(src_w, dst_w, tag, payload_len, false);
-                return Ok(SendOutcome::InjectedDrop);
-            }
-            pdc_chaos::SendFault::Duplicate => {
-                span.arg("fault", "duplicate");
-                let twin = Envelope {
-                    sync_ack: None, // only one copy carries the ssend latch
-                    ..env.clone()
-                };
-                deliver(env);
-                deliver(twin);
-            }
-            pdc_chaos::SendFault::Delay(extra) => {
-                span.arg("fault", "delay");
-                std::thread::sleep(extra);
-                deliver(env);
-            }
-            pdc_chaos::SendFault::Reorder => {
-                span.arg("fault", "reorder");
-                if let Some(traffic) = &self.fabric.traffic {
-                    traffic.record(src_w, dst_w, env.payload.len());
+                let sent = transport.send_frame(dst_w, frame);
+                if ack_id != 0 && !matches!(sent, Ok(FrameOutcome::Sent)) {
+                    self.fabric.acks.take(ack_id);
                 }
-                mailboxes[dst_w].deposit_front(env);
+                match sent? {
+                    FrameOutcome::Sent => 1,
+                    FrameOutcome::InjectedDrop => {
+                        span.arg("fault", "drop");
+                        0
+                    }
+                }
             }
+        };
+        // One op per send, counting the copies that reached the
+        // destination: the traffic matrix folds these, so it reflects
+        // what actually crossed the fabric.
+        if let Some(rec) = &self.fabric.recorder {
+            let kind = OpKind::Send {
+                dst: dst_w,
+                tag,
+                bytes,
+                user: tag >= 0,
+                copies,
+            };
+            rec.record(src_w, kind);
         }
-        self.record_send(src_w, dst_w, tag, payload_len, true);
-        Ok(SendOutcome::Delivered)
-    }
-
-    /// Record one send at the chokepoint, if a communication log is
-    /// attached to this world.
-    fn record_send(&self, src_w: usize, dst_w: usize, tag: Tag, bytes: usize, delivered: bool) {
-        if let Some(rec) = &self.fabric.analysis {
-            rec.record(
-                src_w,
-                crate::analysis::OpKind::Send {
-                    dst: dst_w,
-                    tag,
-                    bytes,
-                    user: tag >= 0,
-                    delivered,
-                },
-            );
-        }
+        Ok(if copies == 0 {
+            SendOutcome::InjectedDrop
+        } else {
+            SendOutcome::Delivered
+        })
     }
 
     pub(crate) fn recv_bytes_internal(
@@ -313,28 +288,28 @@ impl Comm {
                 // Record the *failed* wait: this rank was blocked on `src`
                 // and never got a message — the raw material of the
                 // wait-for graph the deadlock analyzer builds.
-                if let Some(rec) = &self.fabric.analysis {
+                if let Some(rec) = &self.fabric.recorder {
                     let user = match tag {
                         TagSel::Tag(t) => t >= 0,
                         TagSel::Any => true,
                     };
                     rec.record(
                         me,
-                        crate::analysis::OpKind::RecvFailed {
-                            src: crate::analysis::failed_src(src, &self.group),
-                            tag: crate::analysis::failed_tag(tag),
+                        OpKind::RecvFailed {
+                            src: analysis::failed_src(src, &self.group),
+                            tag: analysis::failed_tag(tag),
                             user,
-                            reason: crate::analysis::failure_reason(&e),
+                            reason: analysis::failure_reason(&e),
                         },
                     );
                 }
                 return Err(e);
             }
         };
-        if let Some(rec) = &self.fabric.analysis {
+        if let Some(rec) = &self.fabric.recorder {
             rec.record(
                 me,
-                crate::analysis::OpKind::RecvDone {
+                OpKind::RecvDone {
                     src: self.world_rank(env.src),
                     tag: env.tag,
                     user: env.tag >= 0,

@@ -1,56 +1,20 @@
 //! Message-traffic tracing.
 //!
-//! [`crate::World::run_traced`] records every envelope that crosses the
+//! [`crate::World::run_traced`] counts every envelope that crosses the
 //! fabric — how many messages and payload bytes each (sender, receiver)
 //! pair exchanged, including the runtime's internal collective traffic.
 //! This is how the workspace *validates* the analytic platform model's
 //! communication assumptions (e.g. a linear reduce really is `P − 1`
 //! messages into the root; a binomial tree really spreads them) instead
 //! of asserting them on faith.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! The counts are folded from the run's op stream ([`crate::analysis`]):
+//! each send adds the copies that reached the destination, so a dropped
+//! message counts zero times and a duplicated one twice.
 
 use serde::{Deserialize, Serialize};
 
-/// Traffic counters for an `np`-rank world.
-#[derive(Debug)]
-pub(crate) struct TrafficCounters {
-    np: usize,
-    msgs: Vec<AtomicU64>,
-    bytes: Vec<AtomicU64>,
-}
-
-impl TrafficCounters {
-    pub(crate) fn new(np: usize) -> Self {
-        Self {
-            np,
-            msgs: (0..np * np).map(|_| AtomicU64::new(0)).collect(),
-            bytes: (0..np * np).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    pub(crate) fn record(&self, src_world: usize, dst_world: usize, payload_len: usize) {
-        let idx = src_world * self.np + dst_world;
-        self.msgs[idx].fetch_add(1, Ordering::Relaxed);
-        self.bytes[idx].fetch_add(payload_len as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> TrafficMatrix {
-        TrafficMatrix {
-            np: self.np,
-            msgs: self
-                .msgs
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            bytes: self
-                .bytes
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
+use crate::analysis::{CommOp, OpKind};
 
 /// A completed run's traffic: messages and bytes per (src, dst) pair.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,6 +25,27 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
+    /// The traffic of an `np`-rank run's `ops`: every delivered copy of
+    /// every send.
+    pub(crate) fn fold(np: usize, ops: &[CommOp]) -> Self {
+        let mut matrix = TrafficMatrix {
+            np,
+            msgs: vec![0; np * np],
+            bytes: vec![0; np * np],
+        };
+        for op in ops {
+            if let OpKind::Send {
+                dst, bytes, copies, ..
+            } = op.kind
+            {
+                let idx = op.rank * np + dst;
+                matrix.msgs[idx] += u64::from(copies);
+                matrix.bytes[idx] += u64::from(copies) * bytes as u64;
+            }
+        }
+        matrix
+    }
+
     /// World size the matrix covers.
     pub fn np(&self) -> usize {
         self.np
@@ -171,13 +156,29 @@ impl TrafficMatrix {
 mod tests {
     use super::*;
 
+    /// Fold one delivered send per `(src, dst, bytes)`.
+    fn sends(np: usize, list: &[(usize, usize, usize)]) -> TrafficMatrix {
+        let ops: Vec<CommOp> = list
+            .iter()
+            .enumerate()
+            .map(|(seq, &(src, dst, bytes))| CommOp {
+                rank: src,
+                seq,
+                kind: OpKind::Send {
+                    dst,
+                    tag: 0,
+                    bytes,
+                    user: true,
+                    copies: 1,
+                },
+            })
+            .collect();
+        TrafficMatrix::fold(np, &ops)
+    }
+
     #[test]
-    fn counters_accumulate_and_snapshot() {
-        let c = TrafficCounters::new(3);
-        c.record(0, 1, 10);
-        c.record(0, 1, 5);
-        c.record(2, 0, 7);
-        let m = c.snapshot();
+    fn fold_accumulates_sends() {
+        let m = sends(3, &[(0, 1, 10), (0, 1, 5), (2, 0, 7)]);
         assert_eq!(m.messages(0, 1), 2);
         assert_eq!(m.bytes(0, 1), 15);
         assert_eq!(m.messages(2, 0), 1);
@@ -187,12 +188,33 @@ mod tests {
     }
 
     #[test]
+    fn fold_counts_delivered_copies_and_skips_other_ops() {
+        let send = |copies| OpKind::Send {
+            dst: 1,
+            tag: 0,
+            bytes: 8,
+            user: true,
+            copies,
+        };
+        let recv = OpKind::RecvDone {
+            src: 0,
+            tag: 0,
+            user: true,
+        };
+        let ops: Vec<CommOp> = [send(0), send(2), send(1), recv]
+            .into_iter()
+            .enumerate()
+            .map(|(seq, kind)| CommOp { rank: 0, seq, kind })
+            .collect();
+        let m = TrafficMatrix::fold(2, &ops);
+        assert_eq!(m.messages(0, 1), 3);
+        assert_eq!(m.bytes(0, 1), 24);
+        assert_eq!(m.total_messages(), 3);
+    }
+
+    #[test]
     fn degrees_and_hotspot() {
-        let c = TrafficCounters::new(3);
-        c.record(1, 0, 1);
-        c.record(2, 0, 1);
-        c.record(0, 1, 1);
-        let m = c.snapshot();
+        let m = sends(3, &[(1, 0, 1), (2, 0, 1), (0, 1, 1)]);
         assert_eq!(m.in_degree(0), 2);
         assert_eq!(m.out_degree(0), 1);
         assert_eq!(m.hottest_receiver(), (0, 2));
@@ -200,28 +222,21 @@ mod tests {
 
     #[test]
     fn render_contains_counts() {
-        let c = TrafficCounters::new(2);
-        c.record(0, 1, 3);
-        let s = c.snapshot().render();
+        let s = sends(2, &[(0, 1, 3)]).render();
         assert!(s.contains("row = sender"));
         assert!(s.contains('1'));
     }
 
     #[test]
     fn render_bytes_contains_payload_sizes() {
-        let c = TrafficCounters::new(2);
-        c.record(1, 0, 1234);
-        let s = c.snapshot().render_bytes();
+        let s = sends(2, &[(1, 0, 1234)]).render_bytes();
         assert!(s.contains("payload bytes"));
         assert!(s.contains("1234"));
     }
 
     #[test]
     fn serde_roundtrip() {
-        let c = TrafficCounters::new(3);
-        c.record(0, 2, 5);
-        c.record(2, 1, 9);
-        let m = c.snapshot();
+        let m = sends(3, &[(0, 2, 5), (2, 1, 9)]);
         let json = serde_json::to_string(&m).unwrap();
         let back: TrafficMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
@@ -229,10 +244,7 @@ mod tests {
 
     #[test]
     fn jsonl_lists_only_active_pairs() {
-        let c = TrafficCounters::new(3);
-        c.record(0, 1, 10);
-        c.record(0, 1, 10);
-        let jsonl = c.snapshot().to_jsonl();
+        let jsonl = sends(3, &[(0, 1, 10), (0, 1, 10)]).to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 1);
         let v: serde_json::Value = serde_json::from_str(lines[0]).unwrap();

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use pdc_chaos::{FaultInjector, FaultPlan, RetryPolicy};
 
-use crate::analysis::{CommLog, RunRecorder};
+use crate::analysis::{self, RunRecorder};
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
 use crate::failure::DeadSet;
@@ -43,12 +43,13 @@ pub(crate) struct Fabric {
     pub(crate) route: Route,
     pub(crate) hostnames: Vec<String>,
     pub(crate) algo: CollectiveAlgo,
-    pub(crate) traffic: Option<crate::traffic::TrafficCounters>,
     pub(crate) injector: Option<Arc<FaultInjector>>,
     pub(crate) dead: DeadSet,
     pub(crate) collective_timeout: Duration,
     pub(crate) retry: RetryPolicy,
-    pub(crate) analysis: Option<RunRecorder>,
+    /// The run's op stream: present in a [`World::run_traced`] run and in
+    /// a run inside [`analysis::record_into`].
+    pub(crate) recorder: Option<RunRecorder>,
     pub(crate) acks: AckTable,
     /// Spin budget of this fabric's mailboxes and sync latches: nonzero
     /// only for thread-mode worlds with a core per rank (see the
@@ -105,7 +106,6 @@ pub struct World {
     injector: Option<Arc<FaultInjector>>,
     collective_timeout: Duration,
     retry: RetryPolicy,
-    analysis: Option<CommLog>,
 }
 
 impl World {
@@ -120,7 +120,6 @@ impl World {
             injector: None,
             collective_timeout: DEFAULT_COLLECTIVE_TIMEOUT,
             retry: RetryPolicy::default(),
-            analysis: None,
         }
     }
 
@@ -178,18 +177,11 @@ impl World {
         self
     }
 
-    /// Record every rank's communication operations into `log` — the hook
-    /// the `pdc-analyze` communication analyzer consumes. One log may be
-    /// shared across several worlds/runs; each `run` produces one
-    /// [`crate::analysis::RunRecord`].
-    pub fn with_analysis(mut self, log: CommLog) -> Self {
-        self.analysis = Some(log);
-        self
-    }
-
     /// Run `body` on every rank, each on its own OS thread, passing the
     /// world communicator. Returns every rank's result, in rank order —
-    /// `mpirun -np N`, with the process's exit values collected.
+    /// `mpirun -np N`, with the process's exit values collected. Inside
+    /// [`analysis::record_into`] on the calling thread, every rank's
+    /// operations are recorded into that log.
     ///
     /// Panics in any rank propagate after all ranks have been joined or
     /// abandoned, mirroring `mpirun`'s job abort. **Caveat** (as with
@@ -202,7 +194,8 @@ impl World {
         F: Fn(Comm) -> T + Sync,
         T: Send,
     {
-        self.run_inner(body, false).0
+        let recorder = analysis::scoped_log().map(|log| RunRecorder::new(self.np, Some(log)));
+        self.run_inner(body, recorder).0
     }
 
     /// Like [`World::run`], but with message-traffic tracing enabled:
@@ -213,8 +206,9 @@ impl World {
         F: Fn(Comm) -> T + Sync,
         T: Send,
     {
-        let (results, traffic) = self.run_inner(body, true);
-        (results, traffic.expect("tracing was enabled"))
+        let recorder = RunRecorder::new(self.np, analysis::scoped_log());
+        let (results, traffic) = self.run_inner(body, Some(recorder));
+        (results, traffic.expect("a traced run has a recorder"))
     }
 
     /// Attach this OS process to a wire [`Transport`] as one rank of a
@@ -251,12 +245,11 @@ impl World {
             },
             hostnames,
             algo: self.algo,
-            traffic: None,
             injector: self.injector.clone(),
             dead: DeadSet::new(),
             collective_timeout: self.collective_timeout,
             retry: self.retry,
-            analysis: None,
+            recorder: None,
             acks: AckTable::default(),
             // Wire ranks never spin: the transport's pumps need the same
             // CPUs (see the `mailbox` module doc).
@@ -277,18 +270,17 @@ impl World {
         }
     }
 
+    /// Run `body` on `np` rank threads; with a `recorder`, also return
+    /// the run's traffic.
     fn run_inner<F, T>(
         &self,
         body: F,
-        trace: bool,
+        recorder: Option<RunRecorder>,
     ) -> (Vec<T>, Option<crate::traffic::TrafficMatrix>)
     where
         F: Fn(Comm) -> T + Sync,
         T: Send,
     {
-        // Per-world log wins over the ambient one, so a harness can arm a
-        // process-wide log without hijacking explicitly-attached worlds.
-        let analysis_log = self.analysis.clone().or_else(crate::analysis::ambient);
         let spin = mailbox::thread_world_spin(self.np);
         let fabric = Arc::new(Fabric {
             route: Route::Threads(
@@ -298,12 +290,11 @@ impl World {
             ),
             hostnames: self.hostnames.clone(),
             algo: self.algo,
-            traffic: trace.then(|| crate::traffic::TrafficCounters::new(self.np)),
             injector: self.injector.clone(),
             dead: DeadSet::new(),
             collective_timeout: self.collective_timeout,
             retry: self.retry,
-            analysis: analysis_log.map(|log| log.start_run(self.np)),
+            recorder,
             acks: AckTable::default(),
             spin,
             next_comm_id: AtomicU64::new(1),
@@ -346,10 +337,7 @@ impl World {
                 }
             }
         });
-        if let Some(rec) = &fabric.analysis {
-            rec.finish();
-        }
-        let traffic = fabric.traffic.as_ref().map(|t| t.snapshot());
+        let traffic = fabric.recorder.as_ref().map(RunRecorder::finish);
         (
             results
                 .into_iter()
@@ -601,6 +589,32 @@ mod tests {
         world.join().unwrap();
         let expect = ROUNDS * (ROUNDS - 1) / 2;
         assert_eq!(out, vec![expect, expect]);
+    }
+
+    #[test]
+    fn traced_traffic_counts_every_delivered_copy() {
+        // Three 8-byte user messages from rank 0 to rank 1, never
+        // received: a duplicating plan delivers two copies of each, a
+        // dropping plan none.
+        let traffic = |plan: FaultPlan| {
+            let (_, traffic) = World::new(2).with_faults(plan).run_traced(|c| {
+                if c.rank() == 0 {
+                    for _ in 0..3 {
+                        c.send_bytes(1, 0, bytes::Bytes::copy_from_slice(&[7; 8]))
+                            .unwrap();
+                    }
+                }
+            });
+            (
+                traffic.messages(0, 1),
+                traffic.bytes(0, 1),
+                traffic.total_messages(),
+            )
+        };
+        let duplicated = traffic(FaultPlan::new(1).with_duplicate_rate(1.0));
+        assert_eq!(duplicated, (6, 48, 6));
+        let dropped = traffic(FaultPlan::new(1).with_drop_rate(1.0));
+        assert_eq!(dropped, (0, 0, 0));
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! race detector in `pdc-analyze` — consumes the stream and reconstructs
 //! the happens-before order.
 //!
-//! The design mirrors `pdc-trace`: **off by default**, a single relaxed
-//! atomic load on the fast path, and a process-global observer slot so
-//! instrumented code needs no plumbing. Events are emitted synchronously
-//! on the acting thread, which gives the observer two ordering
-//! guarantees the detectors rely on:
+//! **Off by default**, with a single relaxed atomic load on the fast
+//! path. An observer is scoped to the run that installs it:
+//! [`observe`] puts it in a thread-local slot for the duration of one
+//! closure, and every parallel region forked from inside hands it to its
+//! team threads, so nested regions report to it too. Code that runs at
+//! the same time on other threads — another test's `Team`, say — never
+//! reaches it. Events are emitted synchronously on the acting thread,
+//! which gives the observer two ordering guarantees the detectors rely
+//! on:
 //!
 //! * per-thread program order is preserved, and
 //! * a lock's `Release` event is fully delivered before the lock is
@@ -21,8 +25,9 @@
 //!   lock word), so the next `Acquire` observer call is totally ordered
 //!   after it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Identity of a lock, barrier, or shared cell: its address. Stable for
 /// the object's lifetime, which is all the detectors need (shadow state
@@ -185,28 +190,39 @@ pub trait SyncObserver: Send + Sync {
     fn on_event(&self, event: &SyncEvent);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-static OBSERVER: RwLock<Option<Arc<dyn SyncObserver>>> = RwLock::new(None);
+/// Live [`observe`] scopes on any thread: zero keeps [`emit`] to one load.
+/// `Relaxed` suffices: the count publishes no data, and a thread with an
+/// observer installed made its own increment, which its later loads see.
+static SCOPES: AtomicUsize = AtomicUsize::new(0);
 
-/// Whether an observer is currently registered (the fast-path check).
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+thread_local! {
+    static OBSERVER: RefCell<Option<Arc<dyn SyncObserver>>> = const { RefCell::new(None) };
 }
 
-/// Register `observer` and start emitting events. Replaces any previous
-/// observer; analysis sessions are expected to serialize themselves (the
-/// harnesses in `pdc-analyze` hold a session lock).
-pub fn set_observer(observer: Arc<dyn SyncObserver>) {
-    *OBSERVER.write().unwrap_or_else(|e| e.into_inner()) = Some(observer);
-    ENABLED.store(true, Ordering::SeqCst);
+/// Run `f` with `observer` receiving every event this thread emits, and
+/// every event of the parallel regions `f` forks (nested ones included).
+/// The previous observer comes back when `f` returns or unwinds.
+pub fn observe<R>(observer: Arc<dyn SyncObserver>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<dyn SyncObserver>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OBSERVER.with(|slot| *slot.borrow_mut() = self.0.take());
+            SCOPES.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+    SCOPES.fetch_add(1, Ordering::Relaxed);
+    let _restore = Restore(OBSERVER.with(|slot| slot.borrow_mut().replace(observer)));
+    f()
 }
 
-/// Unregister the observer and stop emitting.
-pub fn clear_observer() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *OBSERVER.write().unwrap_or_else(|e| e.into_inner()) = None;
+/// The observer of the calling thread's [`observe`] scope, if any; a
+/// region hands it to its team threads.
+pub(crate) fn current() -> Option<Arc<dyn SyncObserver>> {
+    if SCOPES.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    OBSERVER.with(|slot| slot.borrow().clone())
 }
 
 /// Fresh fork token (process-global, never reused).
@@ -217,7 +233,7 @@ pub(crate) fn next_token() -> u64 {
 /// Deliver one event to the observer, if any.
 #[inline]
 pub(crate) fn emit(event: &SyncEvent) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if SCOPES.load(Ordering::Relaxed) == 0 {
         return;
     }
     emit_slow(event);
@@ -225,14 +241,11 @@ pub(crate) fn emit(event: &SyncEvent) {
 
 #[cold]
 fn emit_slow(event: &SyncEvent) {
-    let obs = OBSERVER
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .map(Arc::clone);
-    if let Some(obs) = obs {
-        obs.on_event(event);
-    }
+    OBSERVER.with(|slot| {
+        if let Some(obs) = &*slot.borrow() {
+            obs.on_event(event);
+        }
+    });
 }
 
 /// Address-based identity helper.
@@ -253,19 +266,51 @@ mod tests {
         }
     }
 
+    fn seen(rec: &Recorder) -> Vec<String> {
+        rec.0.lock().unwrap().clone()
+    }
+
     #[test]
-    fn observer_receives_events_only_while_registered() {
-        // Serialized with any other observer user by being the only such
-        // test in this crate.
+    fn observer_receives_events_only_inside_its_scope() {
         let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
-        emit(&SyncEvent::Join { token: 0 }); // disabled: dropped
-        set_observer(rec.clone());
-        emit(&SyncEvent::Join { token: 1 });
-        clear_observer();
-        emit(&SyncEvent::Join { token: 2 }); // disabled again: dropped
-        let seen = rec.0.lock().unwrap().clone();
-        assert!(seen.iter().any(|e| e.contains("token: 1")));
-        assert!(!seen.iter().any(|e| e.contains("token: 2")));
+        emit(&SyncEvent::Join { token: 0 }); // no scope: dropped
+        observe(rec.clone(), || emit(&SyncEvent::Join { token: 1 }));
+        emit(&SyncEvent::Join { token: 2 }); // scope closed: dropped
+        let seen = seen(&rec);
+        assert_eq!(seen.len(), 1);
+        assert!(seen[0].contains("token: 1"));
+    }
+
+    #[test]
+    fn other_threads_do_not_reach_the_observer() {
+        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+        observe(rec.clone(), || {
+            std::thread::scope(|s| {
+                s.spawn(|| emit(&SyncEvent::Join { token: 7 }));
+            });
+        });
+        assert!(seen(&rec).is_empty());
+    }
+
+    #[test]
+    fn observe_restores_the_previous_observer_after_a_panic() {
+        let outer = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let inner = Arc::new(Recorder(Mutex::new(Vec::new())));
+        observe(outer.clone(), || {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                observe(inner.clone(), || {
+                    emit(&SyncEvent::Join { token: 1 });
+                    panic!("observed code failed");
+                })
+            }));
+            assert!(unwound.is_err());
+            emit(&SyncEvent::Join { token: 2 });
+        });
+        assert!(current().is_none());
+        assert_eq!(seen(&inner).len(), 1);
+        let outer = seen(&outer);
+        assert_eq!(outer.len(), 1);
+        assert!(outer[0].contains("token: 2"));
     }
 
     #[test]

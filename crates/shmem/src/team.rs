@@ -11,7 +11,9 @@
 //! join. Nested and concurrent regions simply take more workers. Region
 //! bodies may borrow from the enclosing stack frame, as an OpenMP region
 //! sees the enclosing scope's shared variables: a region neither returns
-//! nor resumes a panic until every worker is done with it.
+//! nor resumes a panic until every worker is done with it. The caller's
+//! analysis observer ([`crate::hooks::observe`]) goes with each job, so
+//! a worker reports to it for that job only.
 //!
 //! Waits follow pdc-mpc's mailbox rule: poll for up to ~50 µs
 //! (`yield_now` every 64th poll), then park; teams wider than the host's
@@ -29,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::hooks::{self, SyncEvent};
+use crate::hooks::{self, SyncEvent, SyncObserver};
 use crate::sync::{Barrier, BarrierKind};
 
 /// A team configuration: how many threads a parallel region forks and
@@ -158,6 +160,7 @@ impl Team {
         let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let token = hooks::next_token();
+        let observer = hooks::current();
         let child = |id: usize| {
             hooks::emit(&SyncEvent::ChildStart {
                 token,
@@ -202,7 +205,12 @@ impl Team {
         // Bodies run under `catch_unwind`, so a panic cannot skip the wait.
         let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
         for (i, worker) in crew.workers.iter().enumerate() {
-            worker.post(Job { run, index: i + 1 }, spin);
+            let job = Job {
+                run,
+                index: i + 1,
+                observer: observer.clone(),
+            };
+            worker.post(job, spin);
         }
         child(0);
         drop(crew);
@@ -259,10 +267,11 @@ fn spin_until(spin: Duration, ready: impl Fn() -> bool) -> bool {
 }
 
 /// One worker's share of a region: child `index` of the region whose
-/// child runner is `run`.
+/// child runner is `run`, reporting to the region caller's `observer`.
 struct Job {
     run: &'static (dyn Fn(usize) + Sync),
     index: usize,
+    observer: Option<Arc<dyn SyncObserver>>,
 }
 
 /// A persistent team thread. The whole hand-off lives here rather than
@@ -348,7 +357,15 @@ impl Worker {
             // The child runner catches its body's panics; this keeps the
             // worker, and so the join, alive should instrumentation panic
             // too (the region then finds the child's slot empty).
-            let _ = catch_unwind(AssertUnwindSafe(|| (job.run)(job.index)));
+            let Job {
+                run,
+                index,
+                observer,
+            } = job;
+            let _ = catch_unwind(AssertUnwindSafe(|| match observer {
+                Some(observer) => hooks::observe(observer, || run(index)),
+                None => run(index),
+            }));
             self.flip(&self.hands.lock(), false);
         }
     }
@@ -847,6 +864,54 @@ mod tests {
             // A core per thread: spin, unless the host has only one core.
             assert_eq!(region_spin(cores).is_zero(), cores == 1);
             assert!(spins(cores).iter().all(|s| s.is_zero() == (cores == 1)));
+        }
+
+        #[test]
+        fn grandchildren_report_to_the_outer_observer() {
+            let starts = Arc::new(Mutex::new(Vec::new()));
+            struct Starts(Arc<Mutex<Vec<usize>>>);
+            impl SyncObserver for Starts {
+                fn on_event(&self, event: &SyncEvent) {
+                    if let SyncEvent::ChildStart { child_index, .. } = event {
+                        self.0.lock().push(*child_index);
+                    }
+                }
+            }
+            hooks::observe(Arc::new(Starts(Arc::clone(&starts))), || {
+                Team::new(2).parallel(|_| Team::new(2).parallel(|_| ()));
+            });
+            // One outer region and two inner ones, each of two threads:
+            // the inner regions' workers are the outer region's
+            // grandchildren.
+            let mut starts = starts.lock().clone();
+            starts.sort_unstable();
+            assert_eq!(starts, vec![0, 0, 0, 1, 1, 1]);
+        }
+
+        #[test]
+        fn a_worker_forgets_the_observer_of_its_last_region() {
+            #[derive(Default)]
+            struct Count(std::sync::atomic::AtomicUsize);
+            impl SyncObserver for Count {
+                fn on_event(&self, _: &SyncEvent) {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            let cache = WorkerCache::default();
+            let team = Team::new(2);
+            let count = Arc::new(Count::default());
+            hooks::observe(count.clone(), || {
+                team.fork_join(&cache, "parallel", |ctx| ctx.barrier())
+                    .unwrap();
+            });
+            let observed = count.0.load(Ordering::Relaxed);
+            assert!(observed > 0);
+            // The same parked worker serves the next, unobserved region.
+            assert_eq!(cache.lock().len(), 1);
+            team.fork_join(&cache, "parallel", |ctx| ctx.barrier())
+                .unwrap();
+            assert_eq!(cache.lock().len(), 1);
+            assert_eq!(count.0.load(Ordering::Relaxed), observed);
         }
 
         #[test]
