@@ -31,7 +31,7 @@ pub mod plan;
 
 pub use checkpoint::{CheckpointStore, FileCheckpointStore};
 pub use injector::{FaultInjector, FaultLog, FaultStats, SendFault};
-pub use plan::{hash01, hash_u64, CrashPoint, FaultPlan, Partition, Straggler};
+pub use plan::{hash01, hash_u64, splitmix64, CrashPoint, FaultPlan, Partition, Straggler};
 
 use std::sync::Arc;
 use std::time::Duration;

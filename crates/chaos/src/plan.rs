@@ -169,8 +169,9 @@ impl FaultPlan {
 }
 
 /// SplitMix64 finalizer — the avalanche stage is enough to decorrelate
-/// the structured `(seed, stream, counter)` inputs we feed it.
-fn splitmix64(mut z: u64) -> u64 {
+/// the structured `(seed, stream, counter)` inputs we feed it. The
+/// workspace's other counter-based generators build on it too.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);

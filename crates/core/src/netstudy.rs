@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use pdc_chaos::{FaultInjector, FaultPlan, FaultStats, FileCheckpointStore};
-use pdc_exemplars::forestfire::{self, FireConfig, TrialResult};
+use pdc_exemplars::forestfire::{self, fire_key, run_trial, FireConfig, TrialResult};
 use pdc_mpc::{Source, TagSel, Transport, World};
 use pdc_net::{launch, FlakyTransport, LaunchSpec, NetConfig, TcpTransport};
 use pdc_patternlets::mp::netsuite;
@@ -94,20 +94,6 @@ pub fn parse_scale(s: &str) -> Option<Scale> {
         "full" => Some(Scale::Full),
         _ => None,
     }
-}
-
-/// Checkpoint key for flat trial index `k`.
-fn fire_key(k: usize) -> String {
-    format!("fire/{k}")
-}
-
-fn run_trial(config: &FireConfig, k: usize) -> TrialResult {
-    let (pi, t) = (k / config.trials, k % config.trials);
-    forestfire::simulate_fire(
-        config.size,
-        config.probabilities[pi],
-        forestfire::trial_seed(config.seed, pi, t),
-    )
 }
 
 fn write_ledger(dir: &Path, rank: usize, injector: &FaultInjector) {
@@ -280,21 +266,9 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
         for _ in &dead {
             injector.log().crash_recovered();
         }
-        let series: Vec<forestfire::FirePoint> = config
-            .probabilities
-            .iter()
-            .enumerate()
-            .map(|(pi, &prob)| {
-                let trials: Vec<TrialResult> = (0..config.trials)
-                    .map(|t| {
-                        store
-                            .peek(&fire_key(pi * config.trials + t))
-                            .expect("all trials checkpointed")
-                    })
-                    .collect();
-                forestfire::average(prob, &trials)
-            })
-            .collect();
+        let series = forestfire::series(&config, |k| {
+            store.peek(&fire_key(k)).expect("all trials checkpointed")
+        });
         ok = series == forestfire::run_seq(&config);
         std::fs::write(dir.join("net_result.json"), format!("{{\"matches\":{ok}}}"))
             .map_err(|e| format!("result write failed: {e}"))?;
@@ -532,18 +506,18 @@ mod tests {
     #[test]
     fn run_trial_matches_run_seq_cellwise() {
         let config = net_fire_config(7, Scale::Quick);
+        for (pi, &prob) in config.probabilities.iter().enumerate() {
+            for t in 0..config.trials {
+                let seed = forestfire::trial_seed(config.seed, pi, t);
+                assert_eq!(
+                    run_trial(&config, pi * config.trials + t),
+                    forestfire::simulate_fire(config.size, prob, seed),
+                    "trial ({pi}, {t})"
+                );
+            }
+        }
         let want = forestfire::run_seq(&config);
-        let series: Vec<forestfire::FirePoint> = config
-            .probabilities
-            .iter()
-            .enumerate()
-            .map(|(pi, &prob)| {
-                let trials: Vec<TrialResult> = (0..config.trials)
-                    .map(|t| run_trial(&config, pi * config.trials + t))
-                    .collect();
-                forestfire::average(prob, &trials)
-            })
-            .collect();
+        let series = forestfire::series(&config, |k| run_trial(&config, k));
         assert_eq!(series, want, "per-trial recomputation must be exact");
     }
 }

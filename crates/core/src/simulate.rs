@@ -13,22 +13,16 @@
 //! generator with knobs, not a claim about real learners.
 
 use pdc_assessment::Cohort;
+use pdc_chaos::splitmix64;
 use pdc_courseware::activity::Activity;
 use pdc_courseware::progress::ActivityStats;
 use pdc_courseware::Gradebook;
 
 use crate::module_a;
 
-/// splitmix64, for deterministic per-(learner, activity, attempt) rolls.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    (mix(seed ^ mix(a) ^ mix(b << 1) ^ mix(c << 2)) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(seed ^ splitmix64(a) ^ splitmix64(b << 1) ^ splitmix64(c << 2)) >> 11) as f64
+        / (1u64 << 53) as f64
 }
 
 /// Result of a simulated session.

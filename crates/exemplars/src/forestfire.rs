@@ -78,9 +78,7 @@ pub struct FirePoint {
     pub avg_iterations: f64,
 }
 
-/// Deterministic per-trial seed. Public so distributed drivers (e.g.
-/// the wire-mode study in `pdc-core`) can recompute exactly the streams
-/// [`run_seq`] uses.
+/// Deterministic seed of trial `trial` at probability index `prob_idx`.
 pub fn trial_seed(base: u64, prob_idx: usize, trial: usize) -> u64 {
     base ^ (prob_idx as u64)
         .wrapping_mul(0x9E3779B97F4A7C15)
@@ -131,31 +129,49 @@ pub fn simulate_fire(size: usize, prob: f64, seed: u64) -> TrialResult {
     }
 }
 
-/// Average trial results (summed in trial order, so every implementation
-/// gets bit-identical output). Public for the same reason as
-/// [`trial_seed`]: external drivers must assemble identically.
-pub fn average(prob: f64, trials: &[TrialResult]) -> FirePoint {
-    let n = trials.len() as f64;
-    FirePoint {
-        prob,
-        avg_burned_pct: trials.iter().map(|t| t.burned_pct).sum::<f64>() / n,
-        avg_iterations: trials.iter().map(|t| t.iterations as f64).sum::<f64>() / n,
-    }
+/// Run flat trial `k` of the sweep: trial `k % trials` at probability
+/// index `k / trials`. Public, with [`fire_key`] and [`series`], so
+/// distributed drivers (e.g. the wire-mode study in `pdc-core`) number,
+/// checkpoint and assemble trials exactly as [`run_seq`] does.
+pub fn run_trial(config: &FireConfig, k: usize) -> TrialResult {
+    let (pi, t) = (k / config.trials, k % config.trials);
+    simulate_fire(
+        config.size,
+        config.probabilities[pi],
+        trial_seed(config.seed, pi, t),
+    )
 }
 
-/// Sequential sweep.
-pub fn run_seq(config: &FireConfig) -> Vec<FirePoint> {
+/// Checkpoint key for flat trial index `k`.
+pub fn fire_key(k: usize) -> String {
+    format!("fire/{k}")
+}
+
+/// Assemble the output series from per-trial results, `trial(k)` giving
+/// flat trial `k`. Means are summed in trial order, so every driver gets
+/// bit-identical output.
+pub fn series(config: &FireConfig, mut trial: impl FnMut(usize) -> TrialResult) -> Vec<FirePoint> {
+    let n = config.trials as f64;
     config
         .probabilities
         .iter()
         .enumerate()
         .map(|(pi, &prob)| {
             let trials: Vec<TrialResult> = (0..config.trials)
-                .map(|t| simulate_fire(config.size, prob, trial_seed(config.seed, pi, t)))
+                .map(|t| trial(pi * config.trials + t))
                 .collect();
-            average(prob, &trials)
+            FirePoint {
+                prob,
+                avg_burned_pct: trials.iter().map(|t| t.burned_pct).sum::<f64>() / n,
+                avg_iterations: trials.iter().map(|t| t.iterations as f64).sum::<f64>() / n,
+            }
         })
         .collect()
+}
+
+/// Sequential sweep.
+pub fn run_seq(config: &FireConfig) -> Vec<FirePoint> {
+    series(config, |k| run_trial(config, k))
 }
 
 /// Shared-memory sweep: the (probability × trial) grid of independent
@@ -166,26 +182,9 @@ pub fn run_shmem(config: &FireConfig, team: &Team) -> Vec<FirePoint> {
     let results: Vec<parking_lot::Mutex<Option<TrialResult>>> =
         (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
     parallel_for(team, 0..total, Schedule::Dynamic { chunk: 1 }, |k, _| {
-        let pi = k / config.trials;
-        let t = k % config.trials;
-        let r = simulate_fire(
-            config.size,
-            config.probabilities[pi],
-            trial_seed(config.seed, pi, t),
-        );
-        *results[k].lock() = Some(r);
+        *results[k].lock() = Some(run_trial(config, k));
     });
-    config
-        .probabilities
-        .iter()
-        .enumerate()
-        .map(|(pi, &prob)| {
-            let trials: Vec<TrialResult> = (0..config.trials)
-                .map(|t| results[pi * config.trials + t].lock().expect("trial ran"))
-                .collect();
-            average(prob, &trials)
-        })
-        .collect()
+    series(config, |k| results[k].lock().expect("trial ran"))
 }
 
 /// Message-passing sweep: trials stride across ranks; rank 0 gathers all
@@ -198,49 +197,21 @@ pub fn run_mpc(config: &FireConfig, np: usize) -> Vec<FirePoint> {
         // Round-robin ownership of flat trial indices.
         let mine: Vec<(usize, TrialResult)> = (comm.rank()..total)
             .step_by(comm.size())
-            .map(|k| {
-                let pi = k / config.trials;
-                let t = k % config.trials;
-                (
-                    k,
-                    simulate_fire(
-                        config.size,
-                        config.probabilities[pi],
-                        trial_seed(config.seed, pi, t),
-                    ),
-                )
-            })
+            .map(|k| (k, run_trial(config, k)))
             .collect();
         let gathered = comm.gather(0, mine).unwrap();
-        let series = gathered.map(|per_rank| {
+        let points = gathered.map(|per_rank| {
             let mut flat: Vec<(usize, TrialResult)> = per_rank.into_iter().flatten().collect();
             flat.sort_by_key(|(k, _)| *k);
-            config
-                .probabilities
-                .iter()
-                .enumerate()
-                .map(|(pi, &prob)| {
-                    let trials: Vec<TrialResult> = flat
-                        [pi * config.trials..(pi + 1) * config.trials]
-                        .iter()
-                        .map(|(_, r)| *r)
-                        .collect();
-                    average(prob, &trials)
-                })
-                .collect::<Vec<_>>()
+            series(config, |k| flat[k].1)
         });
-        comm.bcast(0, series).unwrap()
+        comm.bcast(0, points).unwrap()
     });
     results.into_iter().next().expect("at least one rank")
 }
 
 /// Tag recoverable workers use to report `(flat trial index, result)`.
 const TAG_FIRE_RESULT: i32 = 5;
-
-/// Checkpoint key for flat trial index `k`.
-fn fire_key(k: usize) -> String {
-    format!("fire/{k}")
-}
 
 /// Chaos-hardened message-passing sweep: [`run_mpc`] rebuilt to survive
 /// the fault plan armed in `ctx`.
@@ -279,15 +250,7 @@ pub fn run_mpc_recoverable(
     // with full, bit-identical data.
     for k in 0..total {
         if !store.contains(&fire_key(k)) {
-            let (pi, t) = (k / config.trials, k % config.trials);
-            store.save(
-                &fire_key(k),
-                &simulate_fire(
-                    config.size,
-                    config.probabilities[pi],
-                    trial_seed(config.seed, pi, t),
-                ),
-            );
+            store.save(&fire_key(k), &run_trial(config, k));
         }
     }
     // The sweep completed despite every crash that fired: mark them
@@ -296,21 +259,9 @@ pub fn run_mpc_recoverable(
     for _ in s.crashes_recovered..s.crashes {
         log.crash_recovered();
     }
-    let value = config
-        .probabilities
-        .iter()
-        .enumerate()
-        .map(|(pi, &prob)| {
-            let trials: Vec<TrialResult> = (0..config.trials)
-                .map(|t| {
-                    store
-                        .peek(&fire_key(pi * config.trials + t))
-                        .expect("all trials checkpointed")
-                })
-                .collect();
-            average(prob, &trials)
-        })
-        .collect();
+    let value = series(config, |k| {
+        store.peek(&fire_key(k)).expect("all trials checkpointed")
+    });
     let stats = ctx.stats();
     RecoveredRun {
         value,
@@ -327,14 +278,6 @@ fn fire_attempt(config: &FireConfig, ctx: &ChaosContext, comm: &Comm) -> bool {
     let total = config.probabilities.len() * config.trials;
     let np = comm.size();
     let store = &ctx.checkpoints;
-    let run_trial = |k: usize| {
-        let (pi, t) = (k / config.trials, k % config.trials);
-        simulate_fire(
-            config.size,
-            config.probabilities[pi],
-            trial_seed(config.seed, pi, t),
-        )
-    };
     if comm.rank() == 0 {
         let bank = |k: usize, r: &TrialResult| {
             if !store.contains(&fire_key(k)) {
@@ -357,7 +300,7 @@ fn fire_attempt(config: &FireConfig, ctx: &ChaosContext, comm: &Comm) -> bool {
             // `load` (not `peek`): skipping a trial a previous attempt
             // banked *is* restored work, and is counted as such.
             if store.load::<TrialResult>(&fire_key(k)).is_none() {
-                let r = run_trial(k);
+                let r = run_trial(config, k);
                 store.save(&fire_key(k), &r);
             }
             drain();
@@ -402,7 +345,7 @@ fn fire_attempt(config: &FireConfig, ctx: &ChaosContext, comm: &Comm) -> bool {
             if store.load::<TrialResult>(&fire_key(k)).is_some() {
                 continue; // restored from a previous attempt
             }
-            let r = run_trial(k);
+            let r = run_trial(config, k);
             if comm.send_reliable(0, TAG_FIRE_RESULT, &(k, r)).is_err() {
                 return true; // master gone or delivery failed: unwind
             }

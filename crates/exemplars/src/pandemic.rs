@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use pdc_chaos::splitmix64;
 use pdc_mpc::World;
 use pdc_shmem::{Schedule, Team};
 
@@ -90,17 +91,11 @@ pub struct DayStats {
     pub r: usize,
 }
 
-/// splitmix64 — the counter-based RNG core.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform f64 in [0,1) from a counter.
 fn unit(seed: u64, agent: usize, day: usize, stream: u64) -> f64 {
-    let h = mix(seed ^ mix(agent as u64) ^ mix((day as u64) << 1) ^ mix(stream << 33));
+    let h = splitmix64(
+        seed ^ splitmix64(agent as u64) ^ splitmix64((day as u64) << 1) ^ splitmix64(stream << 33),
+    );
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -2,7 +2,7 @@
 //! output.
 
 use parking_lot::Mutex;
-use pdc_mpc::World;
+use pdc_mpc::{Comm, World};
 
 use crate::{Paradigm, Pattern, Patternlet, RunOutput};
 
@@ -29,22 +29,27 @@ def main():
 ########## Run the main function
 main()"#,
     runner: |n| {
+        // The Colab container hostname from the paper's Figure 2 output;
+        // lines land in arrival order, the interleaving Fig. 2 shows.
         let lines = Mutex::new(Vec::new());
-        // The Colab container hostname from the paper's Figure 2 output.
-        World::new(n).with_hostname("d6ff4f902ed6").run(|comm| {
-            lines.lock().push(format!(
-                "Greetings from process {} of {} on {}",
-                comm.rank(),
-                comm.size(),
-                comm.processor_name()
-            ));
-        });
+        World::new(n)
+            .with_hostname("d6ff4f902ed6")
+            .run(|comm| lines.lock().extend(spmd_body(&comm)));
         RunOutput {
             lines: lines.into_inner(),
             deterministic_order: false,
         }
     },
 };
+
+pub(super) fn spmd_body(comm: &Comm) -> Vec<String> {
+    vec![format!(
+        "Greetings from process {} of {} on {}",
+        comm.rank(),
+        comm.size(),
+        comm.processor_name()
+    )]
+}
 
 /// `mp.ordered` — force rank-ordered printing with a message relay: rank
 /// r waits for a token from r−1 before speaking.
@@ -59,25 +64,19 @@ pub static ORDERED: Patternlet = Patternlet {
 print("Process {} reporting in order".format(id))
 if id < numProcesses - 1:
     comm.send(1, dest=id+1)       # pass the token on"#,
-    runner: |n| {
-        let lines = Mutex::new(Vec::new());
-        World::new(n).run(|comm| {
-            if comm.rank() > 0 {
-                let _token: u8 = comm.recv(comm.rank() - 1, 0).unwrap();
-            }
-            lines
-                .lock()
-                .push(format!("Process {} reporting in order", comm.rank()));
-            if comm.rank() + 1 < comm.size() {
-                comm.send(comm.rank() + 1, 0, &1u8).unwrap();
-            }
-        });
-        RunOutput {
-            lines: lines.into_inner(),
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, ordered_body),
 };
+
+pub(super) fn ordered_body(comm: &Comm) -> Vec<String> {
+    if comm.rank() > 0 {
+        let _token: u8 = comm.recv(comm.rank() - 1, 0).unwrap();
+    }
+    let line = format!("Process {} reporting in order", comm.rank());
+    if comm.rank() + 1 < comm.size() {
+        comm.send(comm.rank() + 1, 0, &1u8).unwrap();
+    }
+    vec![line]
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! Collective-communication patternlets: broadcast, scatter, gather,
-//! allgather, reduce.
+//! allgather, reduce, scan.
 
-use pdc_mpc::{ops, World};
+use pdc_mpc::{ops, Comm};
 
-use crate::{Paradigm, Pattern, Patternlet, RunOutput};
+use crate::{Paradigm, Pattern, Patternlet};
 
 /// `mp.broadcast` — one value, everywhere.
 pub static BROADCAST: Patternlet = Patternlet {
@@ -18,18 +18,19 @@ else:
     data = None
 data = comm.bcast(data, root=0)
 print("Process {} has {}".format(id, data))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let data = (comm.rank() == 0).then(|| ("config.txt".to_owned(), 42u32));
-            let data = comm.bcast(0, data).unwrap();
-            format!("Process {} has (\"{}\", {})", comm.rank(), data.0, data.1)
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, broadcast_body),
 };
+
+pub(super) fn broadcast_body(comm: &Comm) -> Vec<String> {
+    let data = (comm.rank() == 0).then(|| ("config.txt".to_owned(), 42u32));
+    let data = comm.bcast(0, data).unwrap();
+    vec![format!(
+        "Process {} has (\"{}\", {})",
+        comm.rank(),
+        data.0,
+        data.1
+    )]
+}
 
 /// `mp.scatter` — slices of an array, one per process.
 pub static SCATTER: Patternlet = Patternlet {
@@ -44,19 +45,15 @@ else:
     pieces = None
 mine = comm.scatter(pieces, root=0)
 print("Process {} got {}".format(id, mine))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let pieces = (comm.rank() == 0)
-                .then(|| (0..comm.size()).map(|i| vec![i * 10, i * 10 + 1]).collect());
-            let mine: Vec<usize> = comm.scatter(0, pieces).unwrap();
-            format!("Process {} got {mine:?}", comm.rank())
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, scatter_body),
 };
+
+pub(super) fn scatter_body(comm: &Comm) -> Vec<String> {
+    let pieces =
+        (comm.rank() == 0).then(|| (0..comm.size()).map(|i| vec![i * 10, i * 10 + 1]).collect());
+    let mine: Vec<usize> = comm.scatter(0, pieces).unwrap();
+    vec![format!("Process {} got {mine:?}", comm.rank())]
+}
 
 /// `mp.gather` — per-process results collected at the root.
 pub static GATHER: Patternlet = Patternlet {
@@ -69,20 +66,16 @@ pub static GATHER: Patternlet = Patternlet {
 squares = comm.gather(square, root=0)
 if id == 0:
     print("Gathered {}".format(squares))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let square = comm.rank() * comm.rank();
-            match comm.gather(0, square).unwrap() {
-                Some(all) => format!("Gathered {all:?}"),
-                None => format!("Process {} contributed {square}", comm.rank()),
-            }
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, gather_body),
 };
+
+pub(super) fn gather_body(comm: &Comm) -> Vec<String> {
+    let square = comm.rank() * comm.rank();
+    match comm.gather(0, square).unwrap() {
+        Some(all) => vec![format!("Gathered {all:?}")],
+        None => vec![format!("Process {} contributed {square}", comm.rank())],
+    }
+}
 
 /// `mp.allgather` — everyone gets everyone's contribution.
 pub static ALLGATHER: Patternlet = Patternlet {
@@ -94,17 +87,13 @@ pub static ALLGATHER: Patternlet = Patternlet {
     source: r#"contribution = id + 100
 everything = comm.allgather(contribution)
 print("Process {} sees {}".format(id, everything))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let everything = comm.allgather(comm.rank() + 100).unwrap();
-            format!("Process {} sees {everything:?}", comm.rank())
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, allgather_body),
 };
+
+pub(super) fn allgather_body(comm: &Comm) -> Vec<String> {
+    let everything = comm.allgather(comm.rank() + 100).unwrap();
+    vec![format!("Process {} sees {everything:?}", comm.rank())]
+}
 
 /// `mp.reduce` — combine everyone's value at the root.
 pub static REDUCE: Patternlet = Patternlet {
@@ -118,22 +107,36 @@ total = comm.reduce(localValue, op=MPI.SUM, root=0)
 biggest = comm.reduce(localValue, op=MPI.MAX, root=0)
 if id == 0:
     print("sum = {}, max = {}".format(total, biggest))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let local = comm.rank() as u64 + 1;
-            let total = comm.reduce(0, local, ops::sum).unwrap();
-            let biggest = comm.reduce(0, local, ops::max).unwrap();
-            match (total, biggest) {
-                (Some(t), Some(b)) => format!("sum = {t}, max = {b}"),
-                _ => format!("Process {} contributed {local}", comm.rank()),
-            }
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, reduce_body),
 };
+
+pub(super) fn reduce_body(comm: &Comm) -> Vec<String> {
+    let local = comm.rank() as u64 + 1;
+    let total = comm.reduce(0, local, ops::sum).unwrap();
+    let biggest = comm.reduce(0, local, ops::max).unwrap();
+    match (total, biggest) {
+        (Some(t), Some(b)) => vec![format!("sum = {t}, max = {b}")],
+        _ => vec![format!("Process {} contributed {local}", comm.rank())],
+    }
+}
+
+/// `mp.scan` — inclusive prefix reduction across ranks.
+pub static SCAN: Patternlet = Patternlet {
+    id: "mp.scan",
+    name: "Scan (prefix reduction)",
+    paradigm: Paradigm::MessagePassing,
+    pattern: Pattern::CollectiveCommunication,
+    teaches: "scan gives rank r the reduction of ranks 0..=r — running totals across processes.",
+    source: r#"localValue = id + 1
+runningTotal = comm.scan(localValue, op=MPI.SUM)
+print("Process {}: running total {}".format(id, runningTotal))"#,
+    runner: |n| super::run_ranks(n, scan_body),
+};
+
+pub(super) fn scan_body(comm: &Comm) -> Vec<String> {
+    let total = comm.scan(comm.rank() as u64 + 1, ops::sum).unwrap();
+    vec![format!("Process {}: running total {total}", comm.rank())]
+}
 
 #[cfg(test)]
 mod tests {
@@ -183,28 +186,6 @@ mod tests {
         assert_eq!(REDUCE.run(1).lines[0], "sum = 1, max = 1");
     }
 }
-
-/// `mp.scan` — inclusive prefix reduction across ranks.
-pub static SCAN: Patternlet = Patternlet {
-    id: "mp.scan",
-    name: "Scan (prefix reduction)",
-    paradigm: Paradigm::MessagePassing,
-    pattern: Pattern::CollectiveCommunication,
-    teaches: "scan gives rank r the reduction of ranks 0..=r — running totals across processes.",
-    source: r#"localValue = id + 1
-runningTotal = comm.scan(localValue, op=MPI.SUM)
-print("Process {}: running total {}".format(id, runningTotal))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let total = comm.scan(comm.rank() as u64 + 1, ops::sum).unwrap();
-            format!("Process {}: running total {total}", comm.rank())
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
-};
 
 #[cfg(test)]
 mod scan_tests {

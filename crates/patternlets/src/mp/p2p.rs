@@ -3,9 +3,9 @@
 
 use std::time::Duration;
 
-use pdc_mpc::{MpcError, World};
+use pdc_mpc::{Comm, MpcError};
 
-use crate::{Paradigm, Pattern, Patternlet, RunOutput};
+use crate::{Paradigm, Pattern, Patternlet};
 
 /// `mp.sendrecv` — the conductor sends a personalized message to each
 /// player.
@@ -21,24 +21,20 @@ pub static SEND_RECV: Patternlet = Patternlet {
 else:                           # a worker
     msg = comm.recv(source=0)
     print("Process {} got: {}".format(id, msg))"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            if comm.rank() == 0 {
-                for w in 1..comm.size() {
-                    comm.send(w, 0, &format!("Hello, process {w}")).unwrap();
-                }
-                format!("Process 0 sent {} messages", comm.size() - 1)
-            } else {
-                let msg: String = comm.recv(0, 0).unwrap();
-                format!("Process {} got: {msg}", comm.rank())
-            }
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, sendrecv_body),
 };
+
+pub(super) fn sendrecv_body(comm: &Comm) -> Vec<String> {
+    if comm.rank() == 0 {
+        for w in 1..comm.size() {
+            comm.send(w, 0, &format!("Hello, process {w}")).unwrap();
+        }
+        vec![format!("Process 0 sent {} messages", comm.size() - 1)]
+    } else {
+        let msg: String = comm.recv(0, 0).unwrap();
+        vec![format!("Process {} got: {msg}", comm.rank())]
+    }
+}
 
 /// `mp.ring` — pass an accumulating token around the ring.
 pub static RING_PASS: Patternlet = Patternlet {
@@ -54,29 +50,25 @@ if id == 0:
 else:
     token = comm.recv(source=id-1) + id
     comm.send(token, dest=(id+1) % numProcesses)"#,
-    runner: |n| {
-        let results = World::new(n).run(|comm| {
-            let (rank, size) = (comm.rank(), comm.size());
-            if size == 1 {
-                return format!("Process 0 final token: {rank}");
-            }
-            if rank == 0 {
-                comm.send(1 % size, 0, &0u64).unwrap();
-                let token: u64 = comm.recv(size - 1, 0).unwrap();
-                format!("Process 0 final token: {token}")
-            } else {
-                let token: u64 = comm.recv(rank - 1, 0).unwrap();
-                let token = token + rank as u64;
-                comm.send((rank + 1) % size, 0, &token).unwrap();
-                format!("Process {rank} passed token {token}")
-            }
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, ring_body),
 };
+
+pub(super) fn ring_body(comm: &Comm) -> Vec<String> {
+    let (rank, size) = (comm.rank(), comm.size());
+    if size == 1 {
+        return vec![format!("Process 0 final token: {rank}")];
+    }
+    if rank == 0 {
+        comm.send(1 % size, 0, &0u64).unwrap();
+        let token: u64 = comm.recv(size - 1, 0).unwrap();
+        vec![format!("Process 0 final token: {token}")]
+    } else {
+        let token: u64 = comm.recv(rank - 1, 0).unwrap();
+        let token = token + rank as u64;
+        comm.send((rank + 1) % size, 0, &token).unwrap();
+        vec![format!("Process {rank} passed token {token}")]
+    }
+}
 
 /// `mp.exchange` — neighbours swap data safely with `Sendrecv`.
 pub static EXCHANGE: Patternlet = Patternlet {
@@ -88,25 +80,21 @@ pub static EXCHANGE: Patternlet = Patternlet {
     source: r#"partner = id ^ 1               # pair up ranks 0-1, 2-3, ...
 received = comm.sendrecv(id * 100, dest=partner, source=partner)
 print("Process {} received {}".format(id, received))"#,
-    runner: |n| {
-        // Needs an even process count to pair everyone; an odd tail rank
-        // simply reports it has no partner.
-        let results = World::new(n).run(|comm| {
-            let partner = comm.rank() ^ 1;
-            if partner >= comm.size() {
-                return format!("Process {} has no partner", comm.rank());
-            }
-            let (got, _) = comm
-                .sendrecv::<u64, u64>(partner, 0, &(comm.rank() as u64 * 100), partner, 0)
-                .unwrap();
-            format!("Process {} received {got}", comm.rank())
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, exchange_body),
 };
+
+pub(super) fn exchange_body(comm: &Comm) -> Vec<String> {
+    // Needs an even process count to pair everyone; an odd tail rank
+    // simply reports it has no partner.
+    let partner = comm.rank() ^ 1;
+    if partner >= comm.size() {
+        return vec![format!("Process {} has no partner", comm.rank())];
+    }
+    let (got, _) = comm
+        .sendrecv::<u64, u64>(partner, 0, &(comm.rank() as u64 * 100), partner, 0)
+        .unwrap();
+    vec![format!("Process {} received {got}", comm.rank())]
+}
 
 /// `mp.deadlock` — both processes receive before sending. With buffered
 /// sends this would be hidden, so the patternlet uses the runtime's
@@ -129,36 +117,41 @@ else:
     msg = comm.recv(source=0);  comm.send("hi", dest=0)"#,
     runner: |n| {
         assert!(n >= 2, "deadlock patternlet needs at least 2 processes");
-        let results = World::new(2).run(|comm| {
-            let other = 1 - comm.rank();
-            // Broken phase: both receive first. The 100 ms timeout stands
-            // in for "forever".
-            let broken: Result<(String, _), MpcError> =
-                comm.recv_timeout(other, 0, Duration::from_millis(100));
-            let line1 = match broken {
-                Err(MpcError::Timeout { .. }) => {
-                    format!("Process {}: recv blocked forever (DEADLOCK)", comm.rank())
-                }
-                other => format!("Process {}: unexpected: {other:?}", comm.rank()),
-            };
-            // Fixed phase: rank 0 sends first.
-            let msg = if comm.rank() == 0 {
-                comm.send(1, 1, &"hi from 0".to_owned()).unwrap();
-                comm.recv::<String>(1, 1).unwrap()
-            } else {
-                let m = comm.recv::<String>(0, 1).unwrap();
-                comm.send(0, 1, &"hi from 1".to_owned()).unwrap();
-                m
-            };
-            let line2 = format!("Process {}: fixed, got '{msg}'", comm.rank());
-            vec![line1, line2]
-        });
-        RunOutput {
-            lines: results.into_iter().flatten().collect(),
-            deterministic_order: true,
-        }
+        super::run_ranks(2, deadlock_body)
     },
 };
+
+pub(super) fn deadlock_body(comm: &Comm) -> Vec<String> {
+    // The demo needs exactly two actors; extra ranks watch from the side
+    // (a wire-mode world keeps its size for the whole session).
+    if comm.rank() >= 2 || comm.size() < 2 {
+        return vec![format!("Process {} sat out the deadlock demo", comm.rank())];
+    }
+    let other = 1 - comm.rank();
+    // Broken phase: both receive first. The 100 ms timeout stands in
+    // for "forever".
+    let broken: Result<(String, _), MpcError> =
+        comm.recv_timeout(other, 0, Duration::from_millis(100));
+    let line1 = match broken {
+        Err(MpcError::Timeout { .. }) => {
+            format!("Process {}: recv blocked forever (DEADLOCK)", comm.rank())
+        }
+        other => format!("Process {}: unexpected: {other:?}", comm.rank()),
+    };
+    // Fixed phase: rank 0 sends first.
+    let msg = if comm.rank() == 0 {
+        comm.send(1, 1, &"hi from 0".to_owned()).unwrap();
+        comm.recv::<String>(1, 1).unwrap()
+    } else {
+        let m = comm.recv::<String>(0, 1).unwrap();
+        comm.send(0, 1, &"hi from 1".to_owned()).unwrap();
+        m
+    };
+    vec![
+        line1,
+        format!("Process {}: fixed, got '{msg}'", comm.rank()),
+    ]
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! Task- and data-decomposition patternlets: master-worker and the two
 //! rank-based loop splits.
 
-use pdc_mpc::{Source, TagSel, World};
+use pdc_mpc::{Comm, Source, TagSel};
 
-use crate::{Paradigm, Pattern, Patternlet, RunOutput};
+use crate::{Paradigm, Pattern, Patternlet};
 
 /// `mp.masterworker` — a dynamic work queue: the master hands tasks to
 /// whichever worker asks next.
@@ -26,48 +26,49 @@ else:                                  # worker
         task = comm.recv(source=0)
         if task < 0: break
         work_on(task)"#,
-    runner: |n| {
-        assert!(n >= 2, "master-worker needs at least one worker");
-        const TASKS: i64 = 12;
-        let results = World::new(n).run(|comm| {
-            if comm.rank() == 0 {
-                // Master: deal TASKS tasks, then one poison pill per worker.
-                for task in 0..TASKS {
-                    let (worker, _st) = comm
-                        .recv_status::<usize>(Source::Any, TagSel::Tag(0))
-                        .unwrap();
-                    comm.send(worker, 1, &task).unwrap();
-                }
-                for _ in 1..comm.size() {
-                    let (worker, _st) = comm
-                        .recv_status::<usize>(Source::Any, TagSel::Tag(0))
-                        .unwrap();
-                    comm.send(worker, 1, &-1i64).unwrap();
-                }
-                format!("Master dealt {TASKS} tasks to {} workers", comm.size() - 1)
-            } else {
-                let mut done = Vec::new();
-                loop {
-                    comm.send(0, 0, &comm.rank()).unwrap();
-                    let task: i64 = comm.recv(0, 1).unwrap();
-                    if task < 0 {
-                        break;
-                    }
-                    done.push(task);
-                }
-                format!(
-                    "Worker {} completed {} tasks: {done:?}",
-                    comm.rank(),
-                    done.len()
-                )
-            }
-        });
-        RunOutput {
-            lines: results,
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, masterworker_body),
 };
+
+/// Tasks the master deals in `mp.masterworker`.
+pub(super) const MW_TASKS: i64 = 12;
+
+pub(super) fn masterworker_body(comm: &Comm) -> Vec<String> {
+    assert!(comm.size() >= 2, "master-worker needs at least one worker");
+    if comm.rank() == 0 {
+        // Master: deal MW_TASKS tasks, then one poison pill per worker.
+        for task in 0..MW_TASKS {
+            let (worker, _st) = comm
+                .recv_status::<usize>(Source::Any, TagSel::Tag(0))
+                .unwrap();
+            comm.send(worker, 1, &task).unwrap();
+        }
+        for _ in 1..comm.size() {
+            let (worker, _st) = comm
+                .recv_status::<usize>(Source::Any, TagSel::Tag(0))
+                .unwrap();
+            comm.send(worker, 1, &-1i64).unwrap();
+        }
+        vec![format!(
+            "Master dealt {MW_TASKS} tasks to {} workers",
+            comm.size() - 1
+        )]
+    } else {
+        let mut done = Vec::new();
+        loop {
+            comm.send(0, 0, &comm.rank()).unwrap();
+            let task: i64 = comm.recv(0, 1).unwrap();
+            if task < 0 {
+                break;
+            }
+            done.push(task);
+        }
+        vec![format!(
+            "Worker {} completed {} tasks: {done:?}",
+            comm.rank(),
+            done.len()
+        )]
+    }
+}
 
 /// `mp.loop.equal` — rank-based contiguous slices (the MPI flavour of
 /// "equal chunks").
@@ -83,26 +84,24 @@ start = id * chunk
 end   = REPS if id == numProcesses-1 else start + chunk
 for i in range(start, end):
     print("Process {} is performing iteration {}".format(id, i))"#,
-    runner: |n| {
-        const REPS: usize = 8;
-        let results = World::new(n).run(|comm| {
-            let chunk = REPS / comm.size();
-            let start = comm.rank() * chunk;
-            let end = if comm.rank() == comm.size() - 1 {
-                REPS
-            } else {
-                start + chunk
-            };
-            (start..end)
-                .map(|i| format!("Process {} is performing iteration {i}", comm.rank()))
-                .collect::<Vec<_>>()
-        });
-        RunOutput {
-            lines: results.into_iter().flatten().collect(),
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, equal_chunks_body),
 };
+
+/// Loop iterations the two loop-split patternlets deal out.
+pub(super) const LOOP_REPS: usize = 8;
+
+pub(super) fn equal_chunks_body(comm: &Comm) -> Vec<String> {
+    let chunk = LOOP_REPS / comm.size();
+    let start = comm.rank() * chunk;
+    let end = if comm.rank() == comm.size() - 1 {
+        LOOP_REPS
+    } else {
+        start + chunk
+    };
+    (start..end)
+        .map(|i| format!("Process {} is performing iteration {i}", comm.rank()))
+        .collect()
+}
 
 /// `mp.loop.chunks1` — round-robin by rank stride.
 pub static CHUNKS_OF_ONE: Patternlet = Patternlet {
@@ -114,20 +113,15 @@ pub static CHUNKS_OF_ONE: Patternlet = Patternlet {
     source: r#"REPS = 8
 for i in range(id, REPS, numProcesses):
     print("Process {} is performing iteration {}".format(id, i))"#,
-    runner: |n| {
-        const REPS: usize = 8;
-        let results = World::new(n).run(|comm| {
-            (comm.rank()..REPS)
-                .step_by(comm.size())
-                .map(|i| format!("Process {} is performing iteration {i}", comm.rank()))
-                .collect::<Vec<_>>()
-        });
-        RunOutput {
-            lines: results.into_iter().flatten().collect(),
-            deterministic_order: true,
-        }
-    },
+    runner: |n| super::run_ranks(n, chunks_of_one_body),
 };
+
+pub(super) fn chunks_of_one_body(comm: &Comm) -> Vec<String> {
+    (comm.rank()..LOOP_REPS)
+        .step_by(comm.size())
+        .map(|i| format!("Process {} is performing iteration {i}", comm.rank()))
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,8 @@
 use crate::describe::mean;
 use crate::{Result, StatsError};
 
+/// splitmix64, the same finalizer as `pdc_chaos::splitmix64`: pdc-stats
+/// has no dependency that could supply it.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
