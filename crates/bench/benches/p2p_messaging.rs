@@ -1,4 +1,4 @@
-//! Ablation: point-to-point message paths — typed (serde/JSON) vs. raw
+//! Ablation: point-to-point message paths — typed (binary serde) vs. raw
 //! bytes, and ping-pong latency vs. payload size.
 //!
 //! Each measured batch runs its rounds inside one persistent 2-rank
@@ -60,7 +60,7 @@ fn pingpong_bytes(iters: u64, payload: &Bytes) -> Duration {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("\np2p_messaging: 2-rank ping-pong round trip on a persistent world; typed (JSON) vs raw-bytes path");
+    println!("\np2p_messaging: 2-rank ping-pong round trip on a persistent world; typed (binary serde) vs raw-bytes path");
     let mut group = c.benchmark_group("p2p/pingpong");
     group.bench_function("typed_u64", |b| {
         b.iter_custom(|iters| pingpong_typed!(iters, &7u64, u64))

@@ -8,6 +8,7 @@
 //! same value the fault-free runner would produce, plus the flags a
 //! study row needs to report that the run was degraded-but-valid.
 
+use serde::binary::{self, Reader, Seq};
 use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// Outcome of a recoverable exemplar run under fault injection.
@@ -54,6 +55,15 @@ impl<T: Serialize> Serialize for RecoveredRun<T> {
         m.insert("world_size".into(), self.world_size.to_json_value());
         Value::Object(m)
     }
+
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        binary::write_seq_len(5, out);
+        self.value.write_bin(out);
+        self.degraded.write_bin(out);
+        self.attempts.write_bin(out);
+        self.survivors.write_bin(out);
+        self.world_size.write_bin(out);
+    }
 }
 
 impl<T: Deserialize> Deserialize for RecoveredRun<T> {
@@ -64,6 +74,17 @@ impl<T: Deserialize> Deserialize for RecoveredRun<T> {
             attempts: u32::from_json_value(&v["attempts"])?,
             survivors: usize::from_json_value(&v["survivors"])?,
             world_size: usize::from_json_value(&v["world_size"])?,
+        })
+    }
+
+    fn read_bin(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = Seq::read_exact(r, 5, "RecoveredRun")?;
+        Ok(Self {
+            value: s.next(r)?,
+            degraded: s.next(r)?,
+            attempts: s.next(r)?,
+            survivors: s.next(r)?,
+            world_size: s.next(r)?,
         })
     }
 }
@@ -84,6 +105,11 @@ mod tests {
         let json = serde_json::to_string(&run).unwrap();
         let back: RecoveredRun<Vec<f64>> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, run);
+        let bytes = binary::to_vec(&run);
+        assert_eq!(
+            binary::from_slice::<RecoveredRun<Vec<f64>>>(&bytes).unwrap(),
+            run
+        );
         assert_eq!(run.status(), "degraded");
     }
 

@@ -75,7 +75,7 @@ impl Comm {
 
     /// Typed internal send on a reserved tag.
     fn csend<T: Serialize>(&self, dest: usize, tag: Tag, value: &T) -> Result<()> {
-        let bytes = crate::comm::encode(value)?;
+        let bytes = crate::comm::encode(value);
         self.send_bytes_internal(dest, tag, bytes, None).map(|_| ())
     }
 

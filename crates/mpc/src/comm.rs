@@ -1,5 +1,6 @@
 //! Communicators and point-to-point messaging.
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
@@ -356,7 +357,7 @@ impl Comm {
     /// rendezvous semantics.
     pub fn send<T: Serialize>(&self, dest: usize, tag: Tag, value: &T) -> Result<()> {
         Self::check_user_tag(tag)?;
-        let bytes = encode(value)?;
+        let bytes = encode(value);
         self.send_bytes_internal(dest, tag, bytes, None).map(|_| ())
     }
 
@@ -378,7 +379,7 @@ impl Comm {
         timeout: Option<Duration>,
     ) -> Result<()> {
         Self::check_user_tag(tag)?;
-        let bytes = encode(value)?;
+        let bytes = encode(value);
         let latch = Arc::new(Latch::with_spin(self.fabric.spin));
         self.send_bytes_internal(dest, tag, bytes, Some(Arc::clone(&latch)))?;
         if latch.wait(timeout) {
@@ -567,15 +568,36 @@ pub fn wait_all<T: DeserializeOwned>(requests: Vec<RecvRequest<T>>) -> Result<Ve
     requests.into_iter().map(RecvRequest::wait).collect()
 }
 
-/// Serialize a payload (JSON wire format — human-readable, mirroring the
-/// teaching materials' Python objects; raw-bytes APIs exist for benches).
-pub(crate) fn encode<T: Serialize>(value: &T) -> Result<Bytes> {
-    serde_json::to_vec(value)
-        .map(Bytes::from)
-        .map_err(|e| MpcError::Decode(format!("encode: {e}")))
+/// Serialize a payload in serde's compact binary form
+/// (`serde::binary`): a tag byte per value, little-endian scalars,
+/// length-prefixed sequences and strings, and slices of `f64`, `u64` and
+/// `u8` copied in bulk. Like mpi4py's pickled `comm.send`, the receiver
+/// needs no schema beyond the type it asks for; the raw-bytes APIs play
+/// the part of `comm.Send`'s buffers.
+pub(crate) fn encode<T: Serialize + ?Sized>(value: &T) -> Bytes {
+    // Each thread encodes into one reused buffer, so a message costs one
+    // allocation: its `Bytes`.
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    /// A buffer past this capacity is released after its message.
+    const KEEP: usize = 1 << 20;
+    SCRATCH.with(|scratch| {
+        let Ok(mut buf) = scratch.try_borrow_mut() else {
+            return Bytes::from(serde::binary::to_vec(value));
+        };
+        buf.clear();
+        value.write_bin(&mut buf);
+        let bytes = Bytes::copy_from_slice(&buf);
+        if buf.capacity() > KEEP {
+            *buf = Vec::new();
+        }
+        bytes
+    })
 }
 
-/// Deserialize a payload.
+/// Deserialize a payload. Total: bytes from a peer that are truncated,
+/// hostile or of another type are an [`MpcError::Decode`], never a panic.
 pub(crate) fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    serde_json::from_slice(bytes).map_err(|e| MpcError::Decode(e.to_string()))
+    serde::binary::from_slice(bytes).map_err(|e| MpcError::Decode(e.to_string()))
 }

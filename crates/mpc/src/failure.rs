@@ -166,7 +166,7 @@ impl Comm {
         if tag < 0 {
             return Err(MpcError::ReservedTag(tag));
         }
-        let bytes = encode(value)?;
+        let bytes = encode(value);
         let policy = self.fabric.retry;
         let log = self.fabric.injector.as_ref().map(|i| i.log());
         let seed = self

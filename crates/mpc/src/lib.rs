@@ -30,7 +30,9 @@
 //! | `Barrier/Bcast/Scatter/Gather/Reduce/...` | [`collectives`] on [`Comm`] |
 //! | `Split` | [`Comm::split`] |
 //!
-//! Messages carry any `serde`-serializable payload. Matching follows the
+//! Messages carry any `serde`-serializable payload, encoded in the compact
+//! binary `serde::binary` form (as mpi4py's `comm.send` pickles its
+//! objects). Matching follows the
 //! MPI standard: a receive matches the *oldest* pending message whose
 //! (source, tag) fits the selectors, and messages between one
 //! (sender, receiver, tag) triple are never reordered (non-overtaking).

@@ -93,10 +93,9 @@ fn p2p_traffic_counts_messages_and_bytes() {
     });
     assert_eq!(traffic.messages(0, 1), 5);
     assert_eq!(traffic.messages(1, 0), 0);
-    assert!(
-        traffic.bytes(0, 1) >= 5 * 13,
-        "JSON '[1.0,2.0,3.0]' is 13+ bytes"
-    );
+    // Each payload is one packed f64 slice: the F64S tag (1 byte), the
+    // u64 count (8) and three 8-byte floats (24), 33 bytes in all.
+    assert_eq!(traffic.bytes(0, 1), 5 * 33);
 }
 
 #[test]
