@@ -6,10 +6,11 @@
 //!   `module*_speedup`): each prints the corresponding paper artifact —
 //!   the same rows/series the paper reports — and then Criterion-times
 //!   the computation behind it.
-//! * **Ablations** (`ablate_*`, `p2p_messaging`): quantify the design
-//!   choices DESIGN.md calls out (loop scheduling, the reduction ladder,
-//!   linear vs. tree collectives, spinning vs. blocking barriers, typed
-//!   vs. raw message paths).
+//! * **Ablations** (`ablate_*`): quantify the design choices DESIGN.md
+//!   calls out (loop scheduling, the reduction ladder, linear vs. tree
+//!   collectives, spinning vs. blocking barriers, tracing overhead).
+//!   Thread hand-offs and message round trips are timed by perfbench
+//!   instead (`shmem.region_us`, `mpc.rtt_typed_u64_us`).
 //!
 //! The `reproduce` binary prints every artifact without timing:
 //!

@@ -6,103 +6,26 @@
 //! arrival order, the MPI **non-overtaking** guarantee holds: two messages
 //! from the same sender with the same tag are received in send order.
 //!
-//! ## Waiting: spin, yield, park
+//! ## Waiting
 //!
-//! Every blocking wait here — a receive or probe with no match yet, a
-//! synchronous sender on its [`Latch`] — goes through one discipline:
-//!
-//! 1. **Spin.** After a failed scan the receiver notes the mailbox's
-//!    `epoch` (bumped under the queue lock by every deposit and
-//!    interrupt), drops the lock and polls the epoch with
-//!    [`std::hint::spin_loop`], calling [`std::thread::yield_now`] every
-//!    64th poll — the rule pdc-shmem's spin loops follow, so a spinning
-//!    rank never starves the thread it waits on. The spin lasts at most
-//!    the mailbox's budget (~50 µs) and never past the caller's deadline.
-//!    When the epoch moves it re-locks and rescans.
-//! 2. **Park.** Once the budget is spent the receiver re-locks, rescans,
-//!    consults its failure predicate and only then parks on the condvar,
-//!    counted as a sleeper. Deposits notify only when a sleeper is
-//!    counted, so a spinning receiver costs its sender no futex call.
-//!
-//! In a thread-mode world a rank hand-off is then a cache-line transfer
-//! rather than two futex wake-ups, which is most of a small message's
-//! round trip. The budget is derived, not configured: the fabric gives
-//! ~50 µs to thread-mode worlds whose ranks each have a core
-//! (`np ≤ available_parallelism()`, the core count read once per
-//! process), and zero — park at once — to oversubscribed worlds, to
-//! 1-core hosts like the paper's Colab VM, and to wire ranks attached
-//! with `World::attach`. Wire ranks do not spin: their messages arrive
-//! through pdc-net's reader and writer pumps, which need the same CPUs,
-//! and on a 2-vCPU host a variant that spun them cut the wire lab's
-//! time by ~29% but raised its CPU per lab by ~27%.
-//!
-//! The missed-wakeup rules hold on both paths: predicates (queue
-//! contents, `fail`) are read only under the queue lock; state changes
-//! (deposit, interrupt, crash registration) happen under that lock, bump
-//! the epoch and read the sleeper count there; the epoch a spinner polls
-//! is recorded under the same lock hold as its failed scan; and a parked
-//! receiver registers as a sleeper and parks in one lock hold, since
-//! `Condvar::wait` releases the lock and parks atomically.
+//! Every blocking wait — a receive or probe with no match yet, a
+//! synchronous sender on its [`Latch`] — is a wait on pdc-shmem's
+//! [`WaitCell`], which holds the spin-then-park protocol. A receive scans
+//! the queue *before* it consults its failure predicate, so messages a
+//! dead peer deposited stay receivable; a crash (`Mailbox::interrupt`)
+//! notifies without changing the queue. Wire ranks (`World::attach`)
+//! never spin: pdc-net's pumps need the same CPUs, and on a 2-vCPU host
+//! spinning them cut the wire lab's time by ~29% but raised its CPU per
+//! lab by ~27%.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use pdc_shmem::sync::{deadline_after, WaitCell};
 
 use crate::envelope::{Envelope, Source, TagSel};
 use crate::error::{MpcError, Result};
-
-/// How long a blocked wait polls before parking, in a world whose ranks
-/// each have a core. Long enough to cover a small message's round trip
-/// between two running ranks, short enough that a rank waiting on real
-/// work (a worker computing a ligand) parks almost at once.
-const SPIN_BUDGET: Duration = Duration::from_micros(50);
-
-/// Spin budget for the mailboxes and latches of a thread-mode world of
-/// `np` ranks: [`SPIN_BUDGET`] when every rank can have a core of its
-/// own, zero when the world is oversubscribed or the host has one core
-/// (a spinner would only delay the thread it waits on). The core count
-/// is read once per process: `available_parallelism` reads cgroup files,
-/// too slow to repeat on every `World::run`.
-pub(crate) fn thread_world_spin(np: usize) -> Duration {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    if cores > 1 && np <= cores {
-        SPIN_BUDGET
-    } else {
-        Duration::ZERO
-    }
-}
-
-/// Poll `ready` until it holds or `until` passes, with `spin_loop`
-/// between polls and `yield_now` every 64th. Returns whether `ready`
-/// held.
-fn spin_until(until: Instant, ready: impl Fn() -> bool) -> bool {
-    let mut polls = 0u32;
-    loop {
-        if ready() {
-            return true;
-        }
-        polls = polls.wrapping_add(1);
-        if polls.is_multiple_of(64) {
-            if Instant::now() >= until {
-                return false;
-            }
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// End of a spin of at most `spin`, never past `deadline`.
-fn spin_end(spin: Duration, deadline: Option<Instant>) -> Instant {
-    let now = Instant::now();
-    let end = now.checked_add(spin).unwrap_or(now);
-    deadline.map_or(end, |dl| end.min(dl))
-}
 
 /// A one-shot completion latch used by synchronous sends: the sender
 /// blocks on [`Latch::wait`] until the receiver calls [`Latch::open`]
@@ -114,27 +37,21 @@ fn spin_end(spin: Duration, deadline: Option<Instant>) -> Instant {
 /// in-process waiter wakeup.
 #[derive(Default)]
 pub struct Latch {
-    state: Mutex<LatchState>,
-    /// Set under the state lock (`Release`); a spinning waiter polls it
-    /// without the lock (`Acquire`), so it sees everything the opener
-    /// did before opening.
-    open: AtomicBool,
-    cv: Condvar,
+    cell: WaitCell<LatchState>,
     spin: Duration,
 }
 
 #[derive(Default)]
 struct LatchState {
+    open: bool,
     hook: Option<Box<dyn FnOnce() + Send>>,
-    /// Waiters parked on `cv`; `open` notifies only when nonzero.
-    sleepers: usize,
 }
 
 impl std::fmt::Debug for Latch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = self.cell.lock();
         f.debug_struct("Latch")
-            .field("open", &self.is_open())
+            .field("open", &st.open)
             .field("hook", &st.hook.is_some())
             .finish()
     }
@@ -146,8 +63,7 @@ impl Latch {
         Self::default()
     }
 
-    /// A closed latch whose waiters spin for up to `spin` before parking
-    /// (see the module doc).
+    /// A closed latch whose waiters spin for up to `spin` before parking.
     pub(crate) fn with_spin(spin: Duration) -> Self {
         Self {
             spin,
@@ -155,16 +71,12 @@ impl Latch {
         }
     }
 
-    fn is_open(&self) -> bool {
-        self.open.load(Ordering::Acquire)
-    }
-
     /// Attach a hook to run once when the latch opens. Attach before
     /// publishing the latch: if it is already open the hook is dropped
     /// unrun.
     pub fn set_hook(&self, hook: Box<dyn FnOnce() + Send>) {
-        let mut st = self.state.lock();
-        if !self.is_open() {
+        let mut st = self.cell.lock();
+        if !st.open {
             st.hook = Some(hook);
         }
     }
@@ -173,73 +85,33 @@ impl Latch {
     /// (if any) runs exactly once, after waiters are notified, outside
     /// the latch lock.
     pub fn open(&self) {
-        let hook = {
-            let mut st = self.state.lock();
-            self.open.store(true, Ordering::Release);
-            if st.sleepers > 0 {
-                self.cv.notify_all();
-            }
-            st.hook.take()
-        };
+        let mut st = self.cell.lock();
+        st.open = true;
+        let hook = st.hook.take();
+        st.notify();
         if let Some(hook) = hook {
             hook();
         }
     }
 
     /// Block until the latch opens, or until `timeout` (None = forever).
-    /// Returns `false` on timeout. A timeout too large to represent as
-    /// an `Instant` deadline is treated as forever rather than panicking
-    /// on the overflowing deadline arithmetic.
+    /// Returns `false` on timeout. A timeout too large for an `Instant`
+    /// deadline waits forever.
     pub fn wait(&self, timeout: Option<Duration>) -> bool {
-        let deadline = deadline_after(timeout);
-        if !self.spin.is_zero() && spin_until(spin_end(self.spin, deadline), || self.is_open()) {
-            return true;
-        }
-        let mut st = self.state.lock();
-        while !self.is_open() {
-            st.sleepers += 1;
-            let timed_out = match deadline {
-                None => {
-                    self.cv.wait(&mut st);
-                    false
-                }
-                Some(dl) => self.cv.wait_until(&mut st, dl).timed_out(),
-            };
-            st.sleepers -= 1;
-            if timed_out {
-                return self.is_open();
-            }
-        }
-        true
+        self.cell
+            .wait_until(self.spin, deadline_after(timeout), |st| {
+                st.open.then_some(())
+            })
+            .is_some()
     }
-}
-
-/// Deadline for an optional timeout. `None` — wait forever — when no
-/// timeout was given *or* when `now + timeout` overflows `Instant`:
-/// a deadline too far away to represent might as well be never.
-fn deadline_after(timeout: Option<Duration>) -> Option<Instant> {
-    timeout.and_then(|d| Instant::now().checked_add(d))
 }
 
 /// The pending-message queue of one rank.
 #[derive(Debug, Default)]
 pub struct Mailbox {
-    queue: Mutex<Queue>,
-    arrived: Condvar,
-    /// Bumped under the queue lock by every deposit and interrupt; a
-    /// spinning receiver polls it without the lock. It only says "look
-    /// again": the receiver re-takes the lock to rescan, and the lock
-    /// orders the queue contents.
-    epoch: AtomicU64,
+    queue: WaitCell<VecDeque<Envelope>>,
     /// How long a blocked wait spins before parking; zero parks at once.
     spin: Duration,
-}
-
-#[derive(Debug, Default)]
-struct Queue {
-    envelopes: VecDeque<Envelope>,
-    /// Waiters parked on `arrived`; deposits notify only when nonzero.
-    sleepers: usize,
 }
 
 impl Mailbox {
@@ -249,7 +121,7 @@ impl Mailbox {
     }
 
     /// Empty mailbox whose receivers spin for up to `spin` before
-    /// parking (see the module doc).
+    /// parking.
     pub(crate) fn with_spin(spin: Duration) -> Self {
         Self {
             spin,
@@ -277,11 +149,12 @@ impl Mailbox {
     }
 
     fn push(&self, env: Envelope, put: fn(&mut VecDeque<Envelope>, Envelope)) {
-        let (depth, parked) = {
+        let depth = {
             let mut q = self.queue.lock();
-            put(&mut q.envelopes, env);
-            self.epoch.fetch_add(1, Ordering::Release);
-            (q.envelopes.len(), q.sleepers > 0)
+            put(&mut q, env);
+            let depth = q.len();
+            q.notify();
+            depth
         };
         // Sampled on every deposit/removal, the gauge traces the queue
         // depth over time — backlog spikes show up as a sawtooth in the
@@ -289,11 +162,6 @@ impl Mailbox {
         // histogram keeps the depth *distribution* (p50/p90/p99).
         pdc_trace::gauge("mpc", "mailbox_depth", depth as f64);
         pdc_trace::hist("mpc", "mailbox_depth", depth as u64);
-        // A sleeper counted under the lock entered `Condvar::wait` before
-        // releasing it, so a notify after the unlock still reaches it.
-        if parked {
-            self.arrived.notify_all();
-        }
     }
 
     /// Wake every blocked waiter without delivering anything, so it
@@ -301,16 +169,7 @@ impl Mailbox {
     /// receivers blocked on the dead rank return `PeerGone` promptly
     /// instead of waiting out their timeout.
     pub(crate) fn interrupt(&self) {
-        // Under the lock, a waiter is either inside its predicate check
-        // (it sees the new state on its next iteration), spinning (it
-        // sees the epoch move) or parked (the notify wakes it). A waiter
-        // cannot decide to park and still miss the notification, because
-        // `Condvar::wait` releases the lock and parks atomically.
-        let q = self.queue.lock();
-        self.epoch.fetch_add(1, Ordering::Release);
-        if q.sleepers > 0 {
-            self.arrived.notify_all();
-        }
+        self.queue.lock().notify();
     }
 
     /// Remove and return the oldest envelope matching the selectors,
@@ -384,10 +243,10 @@ impl Mailbox {
         })
     }
 
-    /// The one blocking wait (see the module doc): `scan` the queue,
-    /// consult `fail`, spin while the budget lasts, then park. A timeout
-    /// performs one final scan after waking, so a message or failure
-    /// that lands exactly at the deadline is never dropped on the floor.
+    /// The one blocking wait (see the module doc): `scan` the queue, and
+    /// only if it finds nothing consult `fail`. A timeout scans once more
+    /// after waking, so a message or failure that lands exactly at the
+    /// deadline is never dropped on the floor.
     fn wait_for<R>(
         &self,
         timeout: Option<Duration>,
@@ -395,51 +254,17 @@ impl Mailbox {
         fail: &dyn Fn() -> Option<MpcError>,
         mut scan: impl FnMut(&mut VecDeque<Envelope>) -> Option<R>,
     ) -> Result<R> {
-        let deadline = deadline_after(timeout);
-        let mut spinning = !self.spin.is_zero();
-        let mut spin_deadline = None;
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(found) = scan(&mut q.envelopes) {
-                return Ok(found);
-            }
-            if let Some(err) = fail() {
-                return Err(err);
-            }
-            if spinning {
-                let until = *spin_deadline.get_or_insert_with(|| spin_end(self.spin, deadline));
-                let seen = self.epoch.load(Ordering::Relaxed);
-                drop(q);
-                spinning = spin_until(until, || self.epoch.load(Ordering::Acquire) != seen);
-                // Whether the epoch moved or the budget ran out, rescan
-                // under the re-taken lock before parking.
-                q = self.queue.lock();
-                continue;
-            }
-            q.sleepers += 1;
-            let timed_out = match deadline {
-                None => {
-                    self.arrived.wait(&mut q);
-                    false
-                }
-                Some(dl) => self.arrived.wait_until(&mut q, dl).timed_out(),
-            };
-            q.sleepers -= 1;
-            if timed_out {
-                // One final scan in case a message arrived exactly at
-                // the deadline.
-                if let Some(found) = scan(&mut q.envelopes) {
-                    return Ok(found);
-                }
-                if let Some(err) = fail() {
-                    return Err(err);
-                }
-                return Err(MpcError::Timeout {
-                    waited: timeout.expect("deadline implies timeout"),
+        self.queue
+            .wait_until(self.spin, deadline_after(timeout), |q| match scan(q) {
+                Some(found) => Some(Ok(found)),
+                None => fail().map(Err),
+            })
+            .unwrap_or_else(|| {
+                Err(MpcError::Timeout {
+                    waited: timeout.expect("only a timed wait times out"),
                     operation,
-                });
-            }
-        }
+                })
+            })
     }
 
     /// Non-blocking probe: oldest matching envelope's (src, tag, len).
@@ -449,8 +274,8 @@ impl Mailbox {
         src: Source,
         tag: TagSel,
     ) -> Option<(usize, i32, usize)> {
-        let q = self.queue.lock();
-        q.envelopes
+        self.queue
+            .lock()
             .iter()
             .find(|e| e.matches(comm_id, &src, &tag))
             .map(|e| (e.src, e.tag, e.payload.len()))
@@ -458,7 +283,7 @@ impl Mailbox {
 
     /// Number of queued messages (diagnostic).
     pub fn pending(&self) -> usize {
-        self.queue.lock().envelopes.len()
+        self.queue.lock().len()
     }
 }
 
@@ -469,6 +294,20 @@ pub(crate) type SharedMailbox = Arc<Mailbox>;
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use pdc_shmem::sync::SPIN_BUDGET;
+    use std::time::Instant;
+
+    /// Longest a test here waits for a wake-up before failing.
+    const WATCHDOG: Duration = Duration::from_secs(10);
+
+    /// Wait until `parked` reports a parked waiter, failing at [`WATCHDOG`].
+    fn until_parked(parked: impl Fn() -> usize) {
+        let start = Instant::now();
+        while parked() == 0 {
+            assert!(start.elapsed() < WATCHDOG, "the waiter never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     fn env(comm_id: u64, src: usize, tag: i32, body: &[u8]) -> Envelope {
         Envelope {
@@ -521,29 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_on_empty_mailbox() {
-        let mb = Mailbox::new();
-        let err = mb
-            .take_matching(0, Source::Any, TagSel::Any, Some(Duration::from_millis(30)))
-            .unwrap_err();
-        assert!(matches!(err, MpcError::Timeout { .. }));
-    }
-
-    #[test]
-    fn blocking_take_wakes_on_deposit() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || {
-            mb2.take_matching(0, Source::Rank(0), TagSel::Tag(5), None)
-                .unwrap()
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        mb.deposit(env(0, 0, 5, b"wake"));
-        let got = handle.join().unwrap();
-        assert_eq!(&got.payload[..], b"wake");
-    }
-
-    #[test]
     fn comm_ids_isolate_messages() {
         let mb = Mailbox::new();
         mb.deposit(env(42, 0, 0, b"other-comm"));
@@ -572,16 +388,6 @@ mod tests {
             mb.try_peek_matching(0, Source::Any, TagSel::Any),
             Some((0, 1, 1))
         );
-    }
-
-    #[test]
-    fn latch_open_wait() {
-        let latch = Arc::new(Latch::new());
-        let l2 = Arc::clone(&latch);
-        let h = std::thread::spawn(move || l2.wait(Some(Duration::from_secs(5))));
-        std::thread::sleep(Duration::from_millis(10));
-        latch.open();
-        assert!(h.join().unwrap());
     }
 
     #[test]
@@ -669,43 +475,56 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let dead = Arc::new(AtomicBool::new(false));
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
+        // A lost interrupt would surface only at the timeout's final
+        // check: the elapsed time tells the two apart.
         let h = std::thread::spawn(move || {
-            mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &|| {
-                dead2
-                    .load(Ordering::SeqCst)
-                    .then_some(MpcError::PeerGone { rank: 1 })
-            })
+            let start = Instant::now();
+            let got =
+                mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, Some(WATCHDOG), &|| {
+                    dead2
+                        .load(Ordering::SeqCst)
+                        .then_some(MpcError::PeerGone { rank: 1 })
+                });
+            (got, start.elapsed())
         });
-        std::thread::sleep(Duration::from_millis(20));
+        until_parked(|| mb.queue.parked());
         dead.store(true, Ordering::SeqCst);
         mb.interrupt();
-        let err = h.join().unwrap().unwrap_err();
-        assert!(matches!(err, MpcError::PeerGone { rank: 1 }));
+        let (got, waited) = h.join().unwrap();
+        assert!(matches!(got, Err(MpcError::PeerGone { rank: 1 })));
+        assert!(waited < WATCHDOG, "woken by the interrupt, not the timeout");
     }
 
     #[test]
-    fn spinning_take_parks_and_still_wakes() {
-        // Deposit only once the receiver has spent its spin budget and
-        // parked, so the notify to a counted sleeper is what wakes it.
-        let mb = Arc::new(Mailbox::with_spin(SPIN_BUDGET));
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || {
-            mb2.take_matching(0, Source::Rank(0), TagSel::Tag(5), None)
-                .unwrap()
-        });
-        while mb.queue.lock().sleepers == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+    fn blocking_take_wakes_on_deposit() {
+        // Deposit only once the receiver has parked (at once, or after
+        // its spin budget), so the notify to a counted sleeper is what
+        // wakes it. A lost notify would leave it parked until its
+        // timeout, whose final scan finds the message: the elapsed time
+        // tells them apart.
+        for spin in [Duration::ZERO, SPIN_BUDGET] {
+            let mb = Arc::new(Mailbox::with_spin(spin));
+            let mb2 = Arc::clone(&mb);
+            let handle = std::thread::spawn(move || {
+                let start = Instant::now();
+                let got = mb2
+                    .take_matching(0, Source::Rank(0), TagSel::Tag(5), Some(WATCHDOG))
+                    .unwrap();
+                (got, start.elapsed())
+            });
+            until_parked(|| mb.queue.parked());
+            mb.deposit(env(0, 0, 5, b"wake"));
+            let (got, waited) = handle.join().unwrap();
+            assert_eq!(&got.payload[..], b"wake");
+            assert!(waited < WATCHDOG, "woken by the deposit, not the timeout");
         }
-        mb.deposit(env(0, 0, 5, b"late"));
-        let got = handle.join().unwrap();
-        assert_eq!(&got.payload[..], b"late");
     }
 
     #[test]
     fn interrupt_during_spin_surfaces_peer_gone() {
         use std::sync::atomic::{AtomicBool, Ordering};
         // A budget far longer than the test: the receiver is still
-        // spinning when the interrupt lands, so only the epoch can wake it.
+        // spinning when the interrupt lands, so only the version can wake it.
         let mb = Arc::new(Mailbox::with_spin(Duration::from_secs(60)));
         let dead = Arc::new(AtomicBool::new(false));
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
@@ -724,16 +543,16 @@ mod tests {
         assert!(matches!(err, MpcError::PeerGone { rank: 1 }));
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "woken by the epoch, not the budget"
+            "woken by the version, not the budget"
         );
     }
 
     #[test]
     fn short_timeout_caps_the_spin() {
-        // A 10 µs timeout, shorter than the spin budget, must time out
-        // near 10 µs. Best of five, so one descheduling of this thread by
-        // a busy host cannot fail the test.
-        for spin in [SPIN_BUDGET, Duration::from_secs(60)] {
+        // A 10 µs timeout must time out near 10 µs, whatever the spin
+        // budget. Best of five, so one descheduling of this thread by a
+        // busy host cannot fail the test.
+        for spin in [Duration::ZERO, SPIN_BUDGET, Duration::from_secs(60)] {
             let mb = Mailbox::with_spin(spin);
             let best = (0..5)
                 .map(|_| {
@@ -762,14 +581,18 @@ mod tests {
     #[test]
     fn spinning_latch_opens_and_times_out() {
         // Opened while the waiter spins (a budget far longer than the
-        // test) and, on a second latch, after it has parked.
-        for (spin, parked) in [(Duration::from_secs(60), false), (SPIN_BUDGET, true)] {
+        // test) and, on other latches, after it has parked.
+        for (spin, parked) in [
+            (Duration::from_secs(60), false),
+            (SPIN_BUDGET, true),
+            (Duration::ZERO, true),
+        ] {
             let latch = Arc::new(Latch::with_spin(spin));
             let l2 = Arc::clone(&latch);
             let start = Instant::now();
-            let h = std::thread::spawn(move || l2.wait(None));
-            while parked && latch.state.lock().sleepers == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+            let h = std::thread::spawn(move || l2.wait(Some(WATCHDOG)));
+            if parked {
+                until_parked(|| latch.cell.parked());
             }
             latch.open();
             assert!(h.join().unwrap());

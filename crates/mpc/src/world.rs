@@ -14,7 +14,7 @@ use crate::analysis::{self, RunRecorder};
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
 use crate::failure::DeadSet;
-use crate::mailbox::{self, Mailbox, SharedMailbox};
+use crate::mailbox::{Mailbox, SharedMailbox};
 use crate::transport::{AckTable, Transport, WireHandle};
 
 /// Default internal timeout for collectives: generous enough that a
@@ -281,7 +281,7 @@ impl World {
         F: Fn(Comm) -> T + Sync,
         T: Send,
     {
-        let spin = mailbox::thread_world_spin(self.np);
+        let spin = pdc_shmem::sync::spin_budget(self.np);
         let fabric = Arc::new(Fabric {
             route: Route::Threads(
                 (0..self.np)
@@ -618,22 +618,18 @@ mod tests {
     }
 
     #[test]
-    fn spin_budget_follows_the_core_count() {
+    fn thread_worlds_spin_by_the_shared_budget() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let spins = |np: usize| {
-            World::new(np).run(|c| {
+        for np in [cores, cores + 1] {
+            let spins = World::new(np).run(|c| {
                 let me = c.world_rank(c.rank());
                 (c.fabric.local_mailbox(me).spin(), c.fabric.spin)
-            })
-        };
-        // Oversubscribed: every mailbox and latch parks at once.
-        for (mailbox, latch) in spins(cores + 1) {
-            assert_eq!((mailbox, latch), (Duration::ZERO, Duration::ZERO));
-        }
-        // A core per rank: spin, unless the host has only one core.
-        for (mailbox, latch) in spins(cores) {
-            assert_eq!(mailbox, latch);
-            assert_eq!(mailbox.is_zero(), cores == 1);
+            });
+            let want = pdc_shmem::sync::spin_budget(np);
+            assert!(
+                spins.iter().all(|&s| s == (want, want)),
+                "np {np}: {spins:?}"
+            );
         }
     }
 

@@ -3,6 +3,8 @@
 //! Built from `std::sync::atomic` in the style of *Rust Atomics and Locks*:
 //! no OS mutexes in the fast path, and every spin loop yields so the
 //! primitives stay live on oversubscribed (or single-core) hosts.
+//! [`WaitCell`], the wait behind the hot team and pdc-mpc's mailboxes,
+//! spins for at most [`SPIN_BUDGET`] and then parks on a condvar.
 
 mod atomicf64;
 mod barrier;
@@ -11,6 +13,7 @@ mod rwlock;
 mod spinlock;
 mod ticket;
 mod tracked;
+mod wait;
 
 pub use atomicf64::AtomicF64;
 pub use barrier::{Barrier, BarrierKind, BlockingBarrier, SenseBarrier};
@@ -19,6 +22,7 @@ pub use rwlock::{ReadGuard, RwSpinLock, WriteGuard};
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};
 pub use tracked::Tracked;
+pub use wait::{deadline_after, spin_budget, WaitCell, WaitGuard, SPIN_BUDGET};
 
 /// Spin-wait backoff: spin briefly, then yield to the scheduler.
 ///

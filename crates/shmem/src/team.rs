@@ -15,24 +15,21 @@
 //! analysis observer ([`crate::hooks::observe`]) goes with each job, so
 //! a worker reports to it for that job only.
 //!
-//! Waits follow pdc-mpc's mailbox rule: poll for up to ~50 µs
-//! (`yield_now` every 64th poll), then park; teams wider than the host's
-//! core count, and all teams on a one-core host, park at once. The
-//! hand-off state lives in the persistent worker, so a region allocates
-//! nothing that another thread frees (DESIGN.md §7 has the measured
-//! reason).
+//! Each worker hands off through a spin-then-park [`WaitCell`] (the
+//! worker waits on it for a job, the caller for the join) that lives in
+//! the persistent worker, so a region allocates nothing that another
+//! thread frees (DESIGN.md §7 has the measured reason).
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::hooks::{self, SyncEvent, SyncObserver};
-use crate::sync::{Barrier, BarrierKind};
+use crate::sync::{spin_budget, Barrier, BarrierKind, WaitCell};
 
 /// A team configuration: how many threads a parallel region forks and
 /// which barrier implementation synchronizes them.
@@ -191,9 +188,9 @@ impl Team {
                 child_index: id,
             });
         };
-        let spin = region_spin(n);
+        let spin = spin_budget(n);
         // Declared after everything `child` borrows, so dropped first.
-        let crew = Crew::hire(cache, n - 1, spin);
+        let mut crew = Crew::hire(cache, n - 1, spin);
         hooks::emit(&SyncEvent::Fork { token, children: n });
         let run: &(dyn Fn(usize) + Sync) = &child;
         // SAFETY: the workers are `'static` threads, but `run` borrows
@@ -204,13 +201,13 @@ impl Team {
         // its call to `run` has returned, and never uses the job again.
         // Bodies run under `catch_unwind`, so a panic cannot skip the wait.
         let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
-        for (i, worker) in crew.workers.iter().enumerate() {
+        for (i, (worker, posted)) in crew.workers.iter_mut().enumerate() {
             let job = Job {
                 run,
                 index: i + 1,
                 observer: observer.clone(),
             };
-            worker.post(job, spin);
+            *posted = worker.post(job, spin);
         }
         child(0);
         drop(crew);
@@ -228,44 +225,6 @@ impl Team {
     }
 }
 
-/// How long a hand-off wait polls before parking.
-const SPIN_BUDGET: Duration = Duration::from_micros(50);
-
-/// Spin budget of an `num_threads`-thread region: [`SPIN_BUDGET`] when
-/// every team thread can have a core, zero when the team is
-/// oversubscribed or the host has one core (a spinner would only delay
-/// the thread it waits on). The core count is read once per process.
-fn region_spin(num_threads: usize) -> Duration {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    if cores > 1 && num_threads <= cores {
-        SPIN_BUDGET
-    } else {
-        Duration::ZERO
-    }
-}
-
-/// Poll `ready` for up to `spin`, with `spin_loop` between polls and
-/// `yield_now` every 64th. Returns whether `ready` held.
-fn spin_until(spin: Duration, ready: impl Fn() -> bool) -> bool {
-    if spin.is_zero() {
-        return false;
-    }
-    let until = Instant::now() + spin;
-    let mut polls = 0u32;
-    while !ready() {
-        polls = polls.wrapping_add(1);
-        if !polls.is_multiple_of(64) {
-            std::hint::spin_loop();
-        } else if Instant::now() < until {
-            std::thread::yield_now();
-        } else {
-            return false;
-        }
-    }
-    true
-}
-
 /// One worker's share of a region: child `index` of the region whose
 /// child runner is `run`, reporting to the region caller's `observer`.
 struct Job {
@@ -278,35 +237,28 @@ struct Job {
 /// in a per-region object, so a region allocates nothing that the other
 /// side frees.
 struct Worker {
-    /// Set by `post`, cleared once the job's call has returned. Flipped
-    /// under `hands`' lock; spinners poll it without the lock.
-    busy: AtomicBool,
-    hands: Mutex<Hands>,
-    /// The worker parks here for a job, the region's caller for the join.
-    wake: Condvar,
+    hands: WaitCell<Hands>,
 }
 
-/// The lock-protected half of a [`Worker`].
+/// The hand-off state of a [`Worker`].
 struct Hands {
     job: Option<Job>,
+    /// Set by `post`, cleared once the job's call has returned.
+    busy: bool,
     /// Spin budget of the region that posted last; the worker's wait for
     /// its next job spins as long.
     spin: Duration,
-    /// Threads parked on `wake`; a flip notifies only when there are any.
-    sleepers: usize,
 }
 
 impl Worker {
     /// Start a worker thread whose first wait for a job spins for `spin`.
     fn spawn(spin: Duration) -> Arc<Worker> {
         let worker = Arc::new(Worker {
-            busy: AtomicBool::new(false),
-            hands: Mutex::new(Hands {
+            hands: WaitCell::new(Hands {
                 job: None,
+                busy: false,
                 spin,
-                sleepers: 0,
             }),
-            wake: Condvar::new(),
         });
         let me = Arc::clone(&worker);
         std::thread::Builder::new()
@@ -316,57 +268,40 @@ impl Worker {
         worker
     }
 
-    /// Hand `job` to this idle worker.
-    fn post(&self, job: Job, spin: Duration) {
+    /// Hand `job` to this idle worker; returns the version for [`Worker::join`].
+    fn post(&self, job: Job, spin: Duration) -> u64 {
         let mut hands = self.hands.lock();
         hands.job = Some(job);
+        hands.busy = true;
         hands.spin = spin;
-        self.flip(&hands, true);
+        hands.notify()
     }
 
-    /// Set `busy`; the caller holds `hands`' lock.
-    fn flip(&self, hands: &Hands, busy: bool) {
-        self.busy.store(busy, Ordering::Release);
-        if hands.sleepers > 0 {
-            self.wake.notify_all();
-        }
-    }
-
-    /// Block until `busy` reads `want`: poll for `spin`, then park.
-    fn await_busy(&self, want: bool, spin: Duration) {
-        if spin_until(spin, || self.busy.load(Ordering::Acquire) == want) {
-            return;
-        }
-        let mut hands = self.hands.lock();
-        while self.busy.load(Ordering::Acquire) != want {
-            hands.sleepers += 1;
-            self.wake.wait(&mut hands);
-            hands.sleepers -= 1;
-        }
+    /// Block until the job posted at version `posted` has returned; the
+    /// post's lock hold saw the worker busy, so the wait spins at once.
+    fn join(&self, posted: u64, spin: Duration) {
+        self.hands
+            .wait_after(posted, spin, None, |hands| (!hands.busy).then_some(()));
     }
 
     /// The worker thread: run posted jobs forever.
-    fn serve(&self, mut spin: Duration) {
+    fn serve(&self, spin: Duration) {
+        let take = |hands: &mut Hands| Some((hands.job.take()?, hands.spin));
+        let mut next = self.hands.wait_until(spin, None, take);
         loop {
-            self.await_busy(true, spin);
-            let job = {
-                let mut hands = self.hands.lock();
-                spin = hands.spin;
-                hands.job.take().expect("a busy worker has a job")
-            };
+            let (job, spin) = next.expect("an untimed wait ends with a job");
             // The child runner catches its body's panics; this keeps the
             // worker, and so the join, alive should instrumentation panic
             // too (the region then finds the child's slot empty).
-            let Job {
-                run,
-                index,
-                observer,
-            } = job;
-            let _ = catch_unwind(AssertUnwindSafe(|| match observer {
-                Some(observer) => hooks::observe(observer, || run(index)),
-                None => run(index),
+            let _ = catch_unwind(AssertUnwindSafe(|| match job.observer {
+                Some(observer) => hooks::observe(observer, || (job.run)(job.index)),
+                None => (job.run)(job.index),
             }));
-            self.flip(&self.hands.lock(), false);
+            let mut hands = self.hands.lock();
+            hands.busy = false;
+            // This hold saw no job: the next is posted only after the join.
+            let done = hands.notify();
+            next = self.hands.wait_after(done, spin, None, take);
         }
     }
 }
@@ -381,35 +316,37 @@ static WORKERS: WorkerCache = Mutex::new(Vec::new());
 /// returns them to their cache.
 struct Crew<'c> {
     cache: &'c WorkerCache,
-    workers: Vec<Arc<Worker>>,
+    /// Each worker with the version its job was posted at.
+    workers: Vec<(Arc<Worker>, u64)>,
     spin: Duration,
 }
 
 impl<'c> Crew<'c> {
     /// Take `n` idle workers from `cache`, spawning any shortfall.
     fn hire(cache: &'c WorkerCache, n: usize, spin: Duration) -> Self {
+        let mut workers = Vec::with_capacity(n);
         let mut idle = cache.lock();
         let keep = idle.len().saturating_sub(n);
-        let workers = idle.split_off(keep);
+        workers.extend(idle.drain(keep..).map(|worker| (worker, 0)));
         drop(idle);
-        let mut crew = Crew {
+        while workers.len() < n {
+            workers.push((Worker::spawn(spin), 0));
+        }
+        Crew {
             cache,
             workers,
             spin,
-        };
-        while crew.workers.len() < n {
-            crew.workers.push(Worker::spawn(spin));
         }
-        crew
     }
 }
 
 impl Drop for Crew<'_> {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.await_busy(false, self.spin);
+        for (worker, posted) in &self.workers {
+            worker.join(*posted, self.spin);
         }
-        self.cache.lock().append(&mut self.workers);
+        let workers = self.workers.drain(..).map(|(worker, _)| worker);
+        self.cache.lock().extend(workers);
     }
 }
 
@@ -753,6 +690,7 @@ mod tests {
     mod hot_team {
         use super::super::*;
         use super::serialize_panics;
+        use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::mpsc;
         use std::thread::ThreadId;
 
@@ -849,21 +787,18 @@ mod tests {
         }
 
         #[test]
-        fn spin_budget_follows_the_core_count() {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let spins = |n: usize| {
-                let cache = WorkerCache::default();
-                Team::new(n).fork_join(&cache, "parallel", |_| ()).unwrap();
-                let idle = cache.lock();
-                assert_eq!(idle.len(), n - 1);
-                idle.iter().map(|w| w.hands.lock().spin).collect::<Vec<_>>()
-            };
-            // Oversubscribed: the workers and the caller park at once.
-            assert_eq!(region_spin(cores + 1), Duration::ZERO);
-            assert!(spins(cores + 1).iter().all(|s| s.is_zero()));
-            // A core per thread: spin, unless the host has only one core.
-            assert_eq!(region_spin(cores).is_zero(), cores == 1);
-            assert!(spins(cores).iter().all(|s| s.is_zero() == (cores == 1)));
+        fn the_join_waits_for_a_slow_worker() {
+            // The worker writes to the caller's stack long after thread 0
+            // is done: a region that returned before its workers finished
+            // would read the slot unwritten.
+            let slot = AtomicU64::new(0);
+            Team::new(2).parallel(|ctx| {
+                if ctx.thread_num() == 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    slot.store(42, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(slot.load(Ordering::Relaxed), 42);
         }
 
         #[test]

@@ -14,14 +14,19 @@
 //! the ones the race detector in `pdc-analyze` *assumes* about these
 //! primitives: a `SpinLock` release happens-before the next acquire, a
 //! `TicketLock` serves strictly in ticket order, and a `SenseBarrier`
-//! separates phases for every member.
+//! separates phases for every member. The `WaitCell` model checks the
+//! property both runtimes' blocking waits rest on: a notify is never
+//! lost, whether the waiter is checking, spinning or parked when it
+//! lands.
 
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::Arc;
 
-use pdc_shmem::sync::{Barrier, SenseBarrier, SpinLock, TicketLock};
+use pdc_shmem::sync::{deadline_after, Barrier, SenseBarrier, SpinLock, TicketLock, WaitCell};
 
 /// Mutual exclusion + release/acquire visibility: two threads each do a
 /// read-modify-write under the lock; no update may be lost.
@@ -147,5 +152,43 @@ fn sense_barrier_separates_phases() {
             PHASES,
             "each phase must elect exactly one leader"
         );
+    });
+}
+
+/// Notify against park: two waiters, one on the cell's state and one on
+/// a flag outside it (a bump that leaves the state unchanged, as a crash
+/// interrupt does), race a notifier. A lost wake-up parks a waiter until
+/// its 10 s deadline, whose final check then succeeds, so the elapsed
+/// time is what catches it.
+#[test]
+fn wait_cell_never_loses_a_notify() {
+    fn wait(cell: &WaitCell<bool>, spin: Duration, check: impl FnMut(&mut bool) -> Option<()>) {
+        let (start, watchdog) = (Instant::now(), Duration::from_secs(10));
+        let woke = cell.wait_until(spin, deadline_after(Some(watchdog)), check);
+        assert!(
+            woke.is_some() && start.elapsed() < watchdog,
+            "spin {spin:?}: lost wake-up"
+        );
+    }
+    loom::model(|| {
+        for spin in [Duration::ZERO, Duration::from_micros(5)] {
+            let cell = Arc::new(WaitCell::new(false));
+            let flag = Arc::new(AtomicBool::new(false));
+            let (c2, f2) = (Arc::clone(&cell), Arc::clone(&flag));
+            let bystander = loom::thread::spawn(move || {
+                wait(&c2, spin, |_| f2.load(Ordering::SeqCst).then_some(()));
+            });
+            let (c3, f3) = (Arc::clone(&cell), Arc::clone(&flag));
+            let notifier = loom::thread::spawn(move || {
+                let mut set = c3.lock();
+                *set = true;
+                set.notify();
+                f3.store(true, Ordering::SeqCst);
+                c3.lock().notify();
+            });
+            wait(&cell, spin, |set| set.then_some(()));
+            notifier.join().unwrap();
+            bystander.join().unwrap();
+        }
     });
 }
