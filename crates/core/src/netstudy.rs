@@ -159,11 +159,13 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
     // store is a directory shared by all rank processes, so what a rank
     // saves survives its death.
     //
-    // A real kill races the writer pumps: the barrier that ended phase 1
-    // releases rank 3 through rank 2 (binomial bcast), and that forwarded
-    // release can still sit in rank 2's outbound queue when the scheduled
-    // abort fires — a peer then starves in a fault-free phase. Give the
-    // queues a drain window while every rank is idle and nobody can die.
+    // A real kill races the wire: the barrier that ended phase 1
+    // releases rank 3 through rank 2 (binomial bcast). Rank 2's send of
+    // that release returns once the frame is on its socket, but the
+    // scheduled abort resets the connection, and rank 3 may not have
+    // read the frame yet — a peer then starves in a fault-free phase.
+    // Give every link a drain window while every rank is idle and
+    // nobody can die.
     std::thread::sleep(Duration::from_millis(250));
     flaky.set_armed(true);
     let store = FileCheckpointStore::open(dir.join("ckpt"), injector.log())

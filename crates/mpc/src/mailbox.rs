@@ -14,9 +14,9 @@
 //! the queue *before* it consults its failure predicate, so messages a
 //! dead peer deposited stay receivable; a crash (`Mailbox::interrupt`)
 //! notifies without changing the queue. Wire ranks (`World::attach`)
-//! never spin: pdc-net's pumps need the same CPUs, and on a 2-vCPU host
-//! spinning them cut the wire lab's time by ~29% but raised its CPU per
-//! lab by ~27%.
+//! never spin: pdc-net's reader pumps need the same CPUs, and on a
+//! 2-vCPU host spinning them cut the wire lab's time by ~29% but raised
+//! its CPU per lab by ~27%.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ use crate::error::{MpcError, Result};
 /// at match time — the rendezvous that makes `ssend` deadlock-capable.
 ///
 /// A latch may also carry an *open hook*, run exactly once when the
-/// latch opens. The wire transport uses it to queue an Ack frame back
+/// latch opens. The wire transport uses it to write an Ack frame back
 /// to a remote sender at match time — the cross-process analog of the
 /// in-process waiter wakeup.
 #[derive(Default)]
@@ -176,7 +176,9 @@ impl Mailbox {
     /// blocking until one arrives or `timeout` elapses (None = forever).
     ///
     /// Opens the envelope's sync latch (if any) *at match time*, which is
-    /// when a synchronous send is allowed to complete.
+    /// when a synchronous send is allowed to complete. The latch opens
+    /// after the queue lock is released: its hook may write an ack to a
+    /// socket, and a write that blocks must not stall deposits.
     #[cfg(test)]
     pub(crate) fn take_matching(
         &self,
@@ -201,16 +203,17 @@ impl Mailbox {
         timeout: Option<Duration>,
         fail: &dyn Fn() -> Option<MpcError>,
     ) -> Result<Envelope> {
-        self.wait_for(timeout, "recv", fail, |q| {
+        let env = self.wait_for(timeout, "recv", fail, |q| {
             let pos = q.iter().position(|e| e.matches(comm_id, &src, &tag))?;
             let env = q.remove(pos).expect("position just found");
             pdc_trace::gauge("mpc", "mailbox_depth", q.len() as f64);
             pdc_trace::hist("mpc", "mailbox_depth", q.len() as u64);
-            if let Some(latch) = &env.sync_ack {
-                latch.open();
-            }
             Some(env)
-        })
+        })?;
+        if let Some(latch) = &env.sync_ack {
+            latch.open();
+        }
+        Ok(env)
     }
 
     /// Peek at the oldest matching envelope without removing it,

@@ -66,8 +66,9 @@ pub struct WireFrame {
 /// What a transport did with a frame handed to [`Transport::send_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameOutcome {
-    /// The frame was queued toward the peer. Delivery still depends on
-    /// the wire — reliability is layered above, not promised here.
+    /// The frame was handed to the wire toward the peer. Delivery
+    /// still depends on the wire — reliability is layered above, not
+    /// promised here.
     Sent,
     /// A fault-injecting wrapper dropped the frame before the wire.
     /// `send_reliable` counts these exactly like in-process injected
@@ -92,10 +93,10 @@ pub trait Transport: Send + Sync {
     /// back into the fabric. Pumps must not deliver before `start`.
     fn start(&self, wire: WireHandle);
 
-    /// Queue one frame toward world rank `dst` (never this process's
-    /// own rank — self-sends short-circuit at the chokepoint). Sends to
-    /// dead or unreachable peers succeed vacuously, like depositing
-    /// into a mailbox nobody will ever drain.
+    /// Hand one frame to the wire toward world rank `dst` (never this
+    /// process's own rank — self-sends short-circuit at the chokepoint).
+    /// Sends to dead or unreachable peers succeed vacuously, like
+    /// depositing into a mailbox nobody will ever drain.
     fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome>;
 
     /// This process is abandoning the world (a *cooperative* crash):
@@ -104,8 +105,8 @@ pub trait Transport: Send + Sync {
     /// the case heartbeats exist for.
     fn announce_crash(&self) {}
 
-    /// Graceful teardown: drain queued frames, say goodbye to peers,
-    /// stop pumps. Idempotent.
+    /// Graceful teardown: say goodbye to peers after every frame already
+    /// sent, stop the transport's threads. Idempotent.
     fn shutdown(&self) {}
 }
 
@@ -187,7 +188,7 @@ impl WireHandle {
     /// Deliver one inbound frame into the local mailbox. When the frame
     /// asked for an ack (`ack_id != 0`) the caller supplies `ack`, run
     /// exactly once at *match time* — when a receive takes the message,
-    /// not when it is deposited — typically queueing an Ack frame back
+    /// not when it is deposited — typically writing an Ack frame back
     /// to the sender. That timing is what preserves `ssend` rendezvous
     /// semantics across the wire.
     pub fn deliver(&self, frame: WireFrame, ack: Option<Box<dyn FnOnce() + Send>>) {

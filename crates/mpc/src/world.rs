@@ -251,7 +251,7 @@ impl World {
             retry: self.retry,
             recorder: None,
             acks: AckTable::default(),
-            // Wire ranks never spin: the transport's pumps need the same
+            // Wire ranks never spin: the transport's readers need the same
             // CPUs (see the `mailbox` module doc).
             spin: Duration::ZERO,
             next_comm_id: AtomicU64::new(1),

@@ -44,38 +44,27 @@ const HEADER_LEN: usize = 40;
 const FLAG_OVERTAKE: u8 = 1 << 0;
 const FLAG_RETRANSMIT: u8 = 1 << 1;
 
-/// What a frame is for.
+/// What a frame is for; the discriminant is the header's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FrameKind {
     /// Handshake, dialer → acceptor: payload is a JSON [`Hello`].
-    Hello,
+    Hello = 0,
     /// Rendezvous reply, rank 0 → joiner: payload is a JSON [`Welcome`].
-    Welcome,
+    Welcome = 1,
     /// One `pdc-mpc` message (the only kind fault injection touches).
-    Data,
+    Data = 2,
     /// Delivery ack: `ack_id` echoes a Data frame matched by a receive.
-    Ack,
+    Ack = 3,
     /// Keepalive, sent on idle links; feeds the failure detector.
-    Heartbeat,
+    Heartbeat = 4,
     /// Crash notice: `src` announces its own (cooperative) death.
-    Dead,
+    Dead = 5,
     /// Graceful goodbye: the peer is done; its silence is not a death.
-    Bye,
+    Bye = 6,
 }
 
 impl FrameKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            FrameKind::Hello => 0,
-            FrameKind::Welcome => 1,
-            FrameKind::Data => 2,
-            FrameKind::Ack => 3,
-            FrameKind::Heartbeat => 4,
-            FrameKind::Dead => 5,
-            FrameKind::Bye => 6,
-        }
-    }
-
     fn from_u8(b: u8) -> Option<Self> {
         Some(match b {
             0 => FrameKind::Hello,
@@ -90,9 +79,11 @@ impl FrameKind {
     }
 }
 
-/// One decoded wire frame.
+/// One wire frame. Decoding yields an owned `Vec<u8>` payload; a sender
+/// may frame any byte buffer (`Frame<Bytes>` encodes straight from a
+/// message's shared payload, with no intermediate copy).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+pub struct Frame<P = Vec<u8>> {
     /// What the frame is for.
     pub kind: FrameKind,
     /// Sender's rank: world rank for control frames (Hello, Dead, …),
@@ -112,7 +103,7 @@ pub struct Frame {
     /// Control-plane retransmission: exempt from fault injection.
     pub retransmit: bool,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
 impl Frame {
@@ -128,31 +119,6 @@ impl Frame {
             retransmit: false,
             payload: Vec::new(),
         }
-    }
-
-    /// Serialize into one write-ready buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        buf.extend_from_slice(&WIRE_MAGIC);
-        buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        buf.push(self.kind.to_u8());
-        let mut flags = 0u8;
-        if self.overtake {
-            flags |= FLAG_OVERTAKE;
-        }
-        if self.retransmit {
-            flags |= FLAG_RETRANSMIT;
-        }
-        buf.push(flags);
-        buf.extend_from_slice(&self.src.to_le_bytes());
-        buf.extend_from_slice(&self.tag.to_le_bytes());
-        buf.extend_from_slice(&self.comm_id.to_le_bytes());
-        buf.extend_from_slice(&self.ack_id.to_le_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &buf), &self.payload));
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(&self.payload);
-        buf
     }
 
     /// Read and validate one frame from a stream. An `UnexpectedEof`
@@ -184,10 +150,7 @@ impl Frame {
         }
         let mut payload = vec![0u8; len as usize];
         r.read_exact(&mut payload)?;
-        let got_crc = crc32_finish(crc32_update(
-            crc32_update(CRC_INIT, &header[..HEADER_LEN - 4]),
-            &payload,
-        ));
+        let got_crc = !crc32_update(crc32_update(CRC_INIT, &header[..HEADER_LEN - 4]), &payload);
         if got_crc != want_crc {
             return Err(bad("frame checksum mismatch"));
         }
@@ -202,6 +165,34 @@ impl Frame {
             payload,
         })
     }
+}
+
+impl<P: AsRef<[u8]>> Frame<P> {
+    /// Serialize into one write-ready buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+        buf.extend_from_slice(&WIRE_MAGIC);
+        buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        buf.push(self.kind as u8);
+        let mut flags = 0u8;
+        if self.overtake {
+            flags |= FLAG_OVERTAKE;
+        }
+        if self.retransmit {
+            flags |= FLAG_RETRANSMIT;
+        }
+        buf.push(flags);
+        buf.extend_from_slice(&self.src.to_le_bytes());
+        buf.extend_from_slice(&self.tag.to_le_bytes());
+        buf.extend_from_slice(&self.comm_id.to_le_bytes());
+        buf.extend_from_slice(&self.ack_id.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = !crc32_update(crc32_update(CRC_INIT, &buf), payload);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
 
     /// Encode and write this frame, flushing the stream.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
@@ -210,7 +201,7 @@ impl Frame {
     }
 }
 
-fn bad(msg: &'static str) -> io::Error {
+pub(crate) fn bad(msg: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -237,46 +228,51 @@ pub struct Welcome {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-8: eight tables built at compile time
+// fold eight bytes per step; a bytewise tail handles the rest.
 // ---------------------------------------------------------------------
 
 const CRC_INIT: u32 = 0xFFFF_FFFF;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` and then `k`
+/// zero bytes; `CRC_TABLES[0]` is the classic one-byte table.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 64 {
+            c = (c >> 1) ^ (0xEDB8_8320 * (c & 1));
+            bit += 1;
+            if bit % 8 == 0 {
+                t[bit / 8 - 1][b] = c;
+            }
         }
-        table[i] = c;
-        i += 1;
+        b += 1;
     }
-    table
+    t
 };
 
-/// Fold `data` into a running CRC state (start from [`CRC_INIT`]).
+/// Fold `data` into a running CRC register (start from [`CRC_INIT`];
+/// the CRC is the register's complement).
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let v = u64::from_le_bytes(w.try_into().unwrap()) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, k| {
+            acc ^ CRC_TABLES[7 - k][(v >> (8 * k)) as u8 as usize]
+        });
+    }
+    for &b in words.remainder() {
+        crc = CRC_TABLES[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     crc
 }
 
-fn crc32_finish(crc: u32) -> u32 {
-    crc ^ 0xFFFF_FFFF
-}
-
 /// CRC-32 of one buffer (exposed for tests and tools).
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_finish(crc32_update(CRC_INIT, data))
+    !crc32_update(CRC_INIT, data)
 }
 
 #[cfg(test)]
@@ -293,6 +289,48 @@ mod tests {
             overtake: true,
             retransmit: true,
             payload: b"hello, wire".to_vec(),
+        }
+    }
+
+    /// Bit-at-a-time CRC-32, independent of the tables.
+    fn crc32_update_bitwise(mut crc: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn sliced_crc_matches_bitwise_reference() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 167 + 13) as u8).collect();
+        // Every length 0..=70 (each tail length, several whole words),
+        // from every start offset mod 8.
+        for start in 0..8 {
+            for len in 0..=70 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32_update(CRC_INIT, slice),
+                    crc32_update_bitwise(CRC_INIT, slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        // Split across two calls, as `encode` and `read_from` fold the
+        // header and then the payload.
+        for split in [0, 1, 7, 8, 9, 36, 40, 63] {
+            let (head, tail) = data[..70].split_at(split);
+            assert_eq!(
+                crc32_update(crc32_update(CRC_INIT, head), tail),
+                crc32_update_bitwise(CRC_INIT, &data[..70]),
+                "split at {split}"
+            );
         }
     }
 

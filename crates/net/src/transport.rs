@@ -1,6 +1,6 @@
 //! The TCP backend: rank-0 rendezvous, full-mesh link formation,
-//! per-peer send/receive pumps, heartbeat failure detection, and
-//! reconnect with deterministic backoff.
+//! write-through sends, per-peer reader pumps, heartbeat failure
+//! detection, and reconnect with deterministic backoff.
 //!
 //! ## Topology
 //!
@@ -15,15 +15,26 @@
 //! block until every peer slot has a live link — [`TcpTransport::connect`]
 //! returns only on a fully formed mesh.
 //!
-//! ## Pumps and heartbeats
+//! ## Sends, reader pumps and heartbeats
 //!
-//! Each link gets a writer thread (drains a queue; sends a
-//! [`FrameKind::Heartbeat`] whenever the link has been idle for one
-//! heartbeat interval) and a reader thread (decodes frames; every
-//! arrival — data or heartbeat — refreshes the peer's `last_seen`
-//! clock). A failure-detector thread scans those clocks and declares
-//! any peer silent for longer than the heartbeat timeout dead, feeding
-//! the same `DeadSet` that cooperative thread-mode crashes feed.
+//! Sends are write-through: the sending thread — the rank itself, the
+//! match-time ack hook, a crash notice, shutdown's [`FrameKind::Bye`]
+//! or the detector's heartbeat — writes the whole frame to the socket
+//! under the link's lock. A peer that stops draining blocks a send for
+//! up to the 1 s write timeout; then the link comes down.
+//!
+//! The only per-link thread is the reader pump: it decodes frames,
+//! refreshes the peer's `last_seen` clock on every arrival and delivers
+//! into the mailbox. Readers never write — acks go out at match time
+//! from the receiving rank ([`WireHandle::deliver`]), after its mailbox
+//! lock is released — so two readers cannot block on each other's full
+//! socket buffers.
+//!
+//! The failure detector runs from [`TcpTransport::connect`] on. Each
+//! heartbeat interval it heartbeats every link idle that long (so a
+//! joined but unstarted transport stays alive to its peers) and, once
+//! started, declares any peer silent past the heartbeat timeout dead,
+//! feeding the same `DeadSet` that cooperative thread-mode crashes feed.
 //!
 //! ## Link loss
 //!
@@ -36,11 +47,11 @@
 //! In-flight frames on a broken link are lost; that is the wire being
 //! honest, and exactly what `send_reliable` exists to paper over.
 
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -50,7 +61,7 @@ use parking_lot::{Condvar, Mutex};
 use pdc_chaos::RetryPolicy;
 use pdc_mpc::{FrameOutcome, Transport, WireFrame, WireHandle};
 
-use crate::frame::{Frame, FrameKind, Hello, Welcome};
+use crate::frame::{bad, Frame, FrameKind, Hello, Welcome};
 
 /// Everything [`TcpTransport::connect`] needs to join a world.
 #[derive(Debug, Clone)]
@@ -131,7 +142,7 @@ impl NetConfig {
 enum PeerStatus {
     /// No link yet (mesh still forming).
     Vacant,
-    /// Link up, pumps running.
+    /// Link up, reader pump running.
     Connected,
     /// Link lost; reconnect may be in flight.
     Down,
@@ -140,17 +151,22 @@ enum PeerStatus {
 }
 
 struct Peer {
-    /// Queue into the writer pump; `None` while no link is up. Sends to
-    /// a linkless peer succeed vacuously — the wire is lossy by
-    /// contract, and reliability is layered above.
-    tx: Mutex<Option<mpsc::Sender<Frame>>>,
+    /// The link's socket and generation; `None` while no link is up.
+    /// Senders write whole frames under this lock. Sends to a linkless
+    /// peer succeed vacuously — the wire is lossy by contract, and
+    /// reliability is layered above.
+    link: Mutex<Option<(TcpStream, u64)>>,
     status: Mutex<PeerStatus>,
-    /// Bumped on every (re)install; pump threads carry their link's
-    /// generation so a stale pump's death cannot tear down its successor.
+    /// Bumped on every (re)install; reader pumps and senders carry
+    /// their link's generation so a stale link's failure cannot tear
+    /// down its successor.
     generation: AtomicU64,
     /// Nanoseconds (since transport epoch) of the last frame — any
     /// frame — received from this peer. The failure detector's clock.
     last_seen: AtomicU64,
+    /// Nanoseconds (since transport epoch) of the last frame written to
+    /// this peer; the detector heartbeats links idle for an interval.
+    last_sent: AtomicU64,
 }
 
 struct Shared {
@@ -161,7 +177,8 @@ struct Shared {
     /// `addrs[r]` = rank r's listen address, once known.
     addrs: Mutex<Vec<Option<SocketAddr>>>,
     peers: Vec<Peer>,
-    /// Set by [`Transport::start`]; pumps block on it before delivering.
+    /// Set by [`Transport::start`]; reader pumps block on it before
+    /// delivering, and the detector convicts only once it is set.
     handle: Mutex<Option<WireHandle>>,
     handle_cv: Condvar,
     shutting_down: AtomicBool,
@@ -187,8 +204,8 @@ impl std::fmt::Debug for TcpTransport {
 
 impl TcpTransport {
     /// Join the session: bind, rendezvous, form the full mesh, start
-    /// the pumps. Returns only when a link to every peer is up (or the
-    /// join budget expires).
+    /// the reader pumps and the detector. Returns only when a link to
+    /// every peer is up (or the join budget expires).
     pub fn connect(cfg: NetConfig) -> io::Result<Arc<TcpTransport>> {
         assert!(cfg.size >= 1, "world size must be at least 1");
         assert!(cfg.rank < cfg.size, "rank out of range");
@@ -199,10 +216,11 @@ impl TcpTransport {
         let shared = Arc::new(Shared {
             peers: (0..cfg.size)
                 .map(|_| Peer {
-                    tx: Mutex::new(None),
+                    link: Mutex::new(None),
                     status: Mutex::new(PeerStatus::Vacant),
                     generation: AtomicU64::new(0),
                     last_seen: AtomicU64::new(0),
+                    last_sent: AtomicU64::new(0),
                 })
                 .collect(),
             cfg,
@@ -223,10 +241,11 @@ impl TcpTransport {
             shared.join_via_rank0(deadline)?;
         }
         // From here on, inbound connections (mesh dials from lower
-        // ranks, reconnects) are admitted by the accept loop.
-        {
+        // ranks, reconnects) are admitted by the accept loop, and the
+        // detector heartbeats every link that is up.
+        for task in [Shared::accept_loop, Shared::detector_loop] {
             let sh = Arc::clone(&shared);
-            let h = thread::spawn(move || sh.accept_loop());
+            let h = thread::spawn(move || task(sh));
             shared.threads.lock().push(h);
         }
         // Dial every higher rank (rank 0's links all formed at
@@ -261,7 +280,7 @@ impl TcpTransport {
         &self.shared.cfg
     }
 
-    /// Abruptly kill every socket and pump *without* saying goodbye —
+    /// Abruptly kill every socket and thread *without* saying goodbye —
     /// what `kill -9` does to a real process, minus the process exit.
     /// Peers get no Bye and no crash notice; they must notice the
     /// silence themselves (heartbeat timeout / redial exhaustion).
@@ -272,14 +291,14 @@ impl TcpTransport {
             return;
         }
         for peer in &sh.peers {
-            *peer.tx.lock() = None;
+            *peer.link.lock() = None;
         }
         // Unblock the accept loop: flip the listener to non-blocking so
         // its next wakeup observes the flag.
         let _ = sh.listener.set_nonblocking(true);
         let _ = TcpStream::connect_timeout(&sh.listen_addr, Duration::from_millis(200));
         sh.handle_cv.notify_all();
-        sh.join_pumps();
+        sh.join_threads();
     }
 }
 
@@ -302,26 +321,25 @@ impl Transport for TcpTransport {
         {
             let mut slot = self.shared.handle.lock();
             assert!(slot.is_none(), "transport started twice");
-            *slot = Some(wire.clone());
+            *slot = Some(wire);
         }
         self.shared.handle_cv.notify_all();
-        let sh = Arc::clone(&self.shared);
-        let h = thread::spawn(move || sh.detector_loop(wire));
-        self.shared.threads.lock().push(h);
     }
 
     fn send_frame(&self, dst: usize, frame: WireFrame) -> pdc_mpc::error::Result<FrameOutcome> {
-        let f = Frame {
-            kind: FrameKind::Data,
-            src: frame.src_group as u32,
-            tag: frame.tag,
-            comm_id: frame.comm_id,
-            ack_id: frame.ack_id,
-            overtake: frame.overtake,
-            retransmit: frame.exempt,
-            payload: frame.payload.to_vec(),
-        };
-        self.shared.enqueue(dst, f);
+        self.shared.send(
+            dst,
+            &Frame {
+                kind: FrameKind::Data,
+                src: frame.src_group as u32,
+                tag: frame.tag,
+                comm_id: frame.comm_id,
+                ack_id: frame.ack_id,
+                overtake: frame.overtake,
+                retransmit: frame.exempt,
+                payload: frame.payload,
+            },
+        );
         Ok(FrameOutcome::Sent)
     }
 
@@ -330,7 +348,7 @@ impl Transport for TcpTransport {
         for peer in 0..self.shared.cfg.size {
             if peer != me {
                 self.shared
-                    .enqueue(peer, Frame::control(FrameKind::Dead, me as u32));
+                    .send(peer, &Frame::control(FrameKind::Dead, me as u32));
             }
         }
     }
@@ -340,19 +358,19 @@ impl Transport for TcpTransport {
         if sh.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Goodbyes ride behind any still-queued frames, so shutdown
-        // drains before it silences. Writers exit after writing Bye;
-        // readers exit on their next timeout poll (or the peer's Bye).
+        // Every frame sent before this call is already on the socket,
+        // so each peer reads it before our Bye. Readers and the
+        // detector exit on their next timeout poll (or the peer's Bye).
         let me = sh.cfg.rank as u32;
         for peer in 0..sh.cfg.size {
             if peer != sh.cfg.rank {
-                sh.enqueue(peer, Frame::control(FrameKind::Bye, me));
+                sh.send(peer, &Frame::control(FrameKind::Bye, me));
             }
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&sh.listen_addr, Duration::from_millis(200));
         sh.handle_cv.notify_all();
-        sh.join_pumps();
+        sh.join_threads();
         pdc_trace::instant(
             "net",
             "transport_shutdown",
@@ -397,16 +415,37 @@ impl Shared {
         self.shutting_down.load(Ordering::Relaxed)
     }
 
-    /// Queue a frame toward `dst`; vacuous when no link is up.
-    fn enqueue(&self, dst: usize, frame: Frame) {
-        let guard = self.peers[dst].tx.lock();
-        if let Some(tx) = guard.as_ref() {
-            let _ = tx.send(frame);
+    /// Write `frame` to `dst` on the calling thread, holding the link
+    /// lock for the whole frame (it is encoded before the lock is taken).
+    /// Vacuous when no link is up; a failed write brings the link down;
+    /// a Bye retires the link.
+    fn send<P: AsRef<[u8]>>(self: &Arc<Self>, dst: usize, frame: &Frame<P>) {
+        let bytes = frame.encode();
+        let peer = &self.peers[dst];
+        let mut link = peer.link.lock();
+        let Some((stream, generation)) = link.as_ref() else {
+            return;
+        };
+        if (&*stream).write_all(&bytes).is_err() {
+            let generation = *generation;
+            drop(link);
+            return self.link_down(dst, generation);
+        }
+        if frame.kind == FrameKind::Bye {
+            *link = None;
+        }
+        drop(link);
+        peer.last_sent.store(self.now_ns(), Ordering::Relaxed);
+        if frame.kind == FrameKind::Heartbeat {
+            pdc_trace::counter("net", "heartbeats_sent", 1);
+        } else {
+            pdc_trace::counter("net", "frames_sent", 1);
+            pdc_trace::counter("net", "bytes_sent", bytes.len() as i64);
         }
     }
 
-    /// Block until `start` has handed over the wire handle (pumps can
-    /// outrun `World::attach`); `None` means shutdown won the race.
+    /// Block until `start` has handed over the wire handle (reader pumps
+    /// can outrun `World::attach`); `None` means shutdown won the race.
     fn wait_handle(&self) -> Option<WireHandle> {
         let mut guard = self.handle.lock();
         loop {
@@ -420,15 +459,6 @@ impl Shared {
                 .handle_cv
                 .wait_for(&mut guard, Duration::from_millis(50));
         }
-    }
-
-    /// Non-blocking peek at the dead set (usable before `start`).
-    fn known_dead(&self, peer: usize) -> bool {
-        self.handle
-            .lock()
-            .as_ref()
-            .map(|h| h.is_dead(peer))
-            .unwrap_or(false)
     }
 
     // --- join ---------------------------------------------------------
@@ -602,7 +632,7 @@ impl Shared {
     fn wait_mesh(&self, deadline: Instant) -> io::Result<()> {
         loop {
             let missing = (0..self.cfg.size)
-                .filter(|&p| p != self.cfg.rank && self.peers[p].tx.lock().is_none())
+                .filter(|&p| p != self.cfg.rank && self.peers[p].link.lock().is_none())
                 .count();
             if missing == 0 {
                 return Ok(());
@@ -635,74 +665,29 @@ impl Shared {
     }
 
     /// Wire a fresh stream up as the link to `peer`: bump the link
-    /// generation, mark connected, and spawn the two pump threads.
+    /// generation, mark connected, install the socket for senders, and
+    /// spawn the reader pump.
     fn install_stream(self: &Arc<Self>, peer: usize, stream: TcpStream) -> io::Result<()> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.cfg.heartbeat_interval))?;
         // A peer that stops draining (killed process, full buffers)
-        // must fail the writer, not wedge it.
+        // must fail the sender's write, not wedge it.
         stream.set_write_timeout(Some(Duration::from_secs(1)))?;
         let reader = stream.try_clone()?;
-        let (tx, rx) = mpsc::channel::<Frame>();
         let generation = {
             let mut status = self.peers[peer].status.lock();
             let generation = self.peers[peer].generation.fetch_add(1, Ordering::SeqCst) + 1;
             *status = PeerStatus::Connected;
             generation
         };
-        self.peers[peer]
-            .last_seen
-            .store(self.now_ns(), Ordering::Relaxed);
-        *self.peers[peer].tx.lock() = Some(tx);
-        let sh = Arc::clone(self);
-        let h = thread::spawn(move || sh.writer_pump(peer, generation, stream, rx));
-        self.threads.lock().push(h);
+        let now = self.now_ns();
+        self.peers[peer].last_seen.store(now, Ordering::Relaxed);
+        self.peers[peer].last_sent.store(now, Ordering::Relaxed);
+        *self.peers[peer].link.lock() = Some((stream, generation));
         let sh = Arc::clone(self);
         let h = thread::spawn(move || sh.reader_pump(peer, generation, reader));
         self.threads.lock().push(h);
         Ok(())
-    }
-
-    fn writer_pump(
-        self: Arc<Self>,
-        peer: usize,
-        generation: u64,
-        stream: TcpStream,
-        rx: mpsc::Receiver<Frame>,
-    ) {
-        let me = self.cfg.rank as u32;
-        loop {
-            match rx.recv_timeout(self.cfg.heartbeat_interval) {
-                Ok(frame) => {
-                    let bye = frame.kind == FrameKind::Bye;
-                    let wire_len = (frame.payload.len() + 40) as i64;
-                    if frame.write_to(&mut &stream).is_err() {
-                        self.link_down(peer, generation);
-                        break;
-                    }
-                    pdc_trace::counter("net", "frames_sent", 1);
-                    pdc_trace::counter("net", "bytes_sent", wire_len);
-                    if bye {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.is_shutting_down() {
-                        break;
-                    }
-                    if Frame::control(FrameKind::Heartbeat, me)
-                        .write_to(&mut &stream)
-                        .is_err()
-                    {
-                        self.link_down(peer, generation);
-                        break;
-                    }
-                    pdc_trace::counter("net", "heartbeats_sent", 1);
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        pdc_trace::flush_thread();
     }
 
     fn reader_pump(self: Arc<Self>, peer: usize, generation: u64, stream: TcpStream) {
@@ -736,7 +721,7 @@ impl Shared {
                         Some(Box::new(move || {
                             let mut f = Frame::control(FrameKind::Ack, me);
                             f.ack_id = id;
-                            sh.enqueue(peer, f);
+                            sh.send(peer, &f);
                             pdc_trace::counter("net", "acks_sent", 1);
                         }) as Box<dyn FnOnce() + Send>)
                     } else {
@@ -781,7 +766,7 @@ impl Shared {
                 }
                 FrameKind::Bye => {
                     *self.peers[peer].status.lock() = PeerStatus::Closed;
-                    *self.peers[peer].tx.lock() = None;
+                    *self.peers[peer].link.lock() = None;
                     break;
                 }
                 FrameKind::Hello | FrameKind::Welcome => {
@@ -794,8 +779,9 @@ impl Shared {
         pdc_trace::flush_thread();
     }
 
-    /// One pump of link generation `generation` saw the link fail.
-    /// First reporter wins; the dialing side starts a reconnect loop,
+    /// A sender or the reader pump of link generation `generation` saw
+    /// the link fail. First reporter wins; the dialing side starts a
+    /// reconnect loop,
     /// the accepting side waits to be re-dialed (or for the failure
     /// detector's verdict).
     fn link_down(self: &Arc<Self>, peer: usize, generation: u64) {
@@ -805,14 +791,19 @@ impl Shared {
         {
             let mut status = self.peers[peer].status.lock();
             if self.peers[peer].generation.load(Ordering::SeqCst) != generation {
-                return; // a stale pump outliving its replaced link
+                return; // a stale link's failure, already replaced
             }
             if *status != PeerStatus::Connected {
                 return;
             }
             *status = PeerStatus::Down;
         }
-        *self.peers[peer].tx.lock() = None;
+        // Only this generation's socket: a successor installed since the
+        // status check stays up.
+        self.peers[peer]
+            .link
+            .lock()
+            .take_if(|(_, g)| *g == generation);
         pdc_trace::instant("net", "link_down", vec![("peer", peer.into())]);
         if self.dialer_for(peer) {
             let sh = Arc::clone(self);
@@ -829,7 +820,8 @@ impl Shared {
         let b = self.cfg.rank.max(peer) as u64;
         let stream_key = 0x52434E ^ (a << 32) ^ b; // "RCN"
         for attempt in 1..=retry.max_attempts {
-            if self.is_shutting_down() || self.known_dead(peer) {
+            let known_dead = self.handle.lock().as_ref().is_some_and(|h| h.is_dead(peer));
+            if self.is_shutting_down() || known_dead {
                 pdc_trace::flush_thread();
                 return;
             }
@@ -886,22 +878,28 @@ impl Shared {
         pdc_trace::flush_thread();
     }
 
-    /// Scan every peer's `last_seen` clock; silence past the heartbeat
-    /// timeout is the acceptor-side death verdict. Peers that said
-    /// goodbye are exempt — their silence is retirement, not death.
-    fn detector_loop(self: Arc<Self>, handle: WireHandle) {
+    /// Every heartbeat interval: heartbeat each link idle for at least
+    /// one interval, then — once `start` has handed over the wire
+    /// handle — scan every peer's `last_seen` clock. Silence past the
+    /// heartbeat timeout is the acceptor-side death verdict. Peers that
+    /// said goodbye are exempt — their silence is retirement, not death.
+    fn detector_loop(self: Arc<Self>) {
+        let interval_ns = self.cfg.heartbeat_interval.as_nanos() as u64;
         let timeout_ns = self.cfg.heartbeat_timeout.as_nanos() as u64;
-        loop {
-            if self.is_shutting_down() {
-                break;
-            }
+        let me = self.cfg.rank;
+        while !self.is_shutting_down() {
+            // Read before the sleep, so the first verdict comes at least
+            // one interval after `start`.
+            let handle = self.handle.lock().clone();
             thread::sleep(self.cfg.heartbeat_interval);
             let now = self.now_ns();
-            for peer in 0..self.cfg.size {
-                if peer == self.cfg.rank
-                    || handle.is_dead(peer)
-                    || *self.peers[peer].status.lock() == PeerStatus::Closed
-                {
+            for peer in (0..self.cfg.size).filter(|&p| p != me) {
+                let sent = self.peers[peer].last_sent.load(Ordering::Relaxed);
+                if now.saturating_sub(sent) >= interval_ns {
+                    self.send(peer, &Frame::control(FrameKind::Heartbeat, me as u32));
+                }
+                let Some(handle) = &handle else { continue };
+                if handle.is_dead(peer) || *self.peers[peer].status.lock() == PeerStatus::Closed {
                     continue;
                 }
                 let seen = self.peers[peer].last_seen.load(Ordering::Relaxed);
@@ -914,11 +912,11 @@ impl Shared {
         pdc_trace::flush_thread();
     }
 
-    /// Join every thread this transport ever spawned. Pumps notice the
-    /// shutdown flag within one heartbeat interval (all socket reads
-    /// and queue waits are timeout-bounded); threads spawned *while*
-    /// draining (a last reconnect) are caught by re-checking.
-    fn join_pumps(&self) {
+    /// Join every thread this transport ever spawned. Reader pumps and
+    /// the detector notice the shutdown flag within one heartbeat
+    /// interval (all socket reads are timeout-bounded); threads spawned
+    /// *while* draining (a last reconnect) are caught by re-checking.
+    fn join_threads(&self) {
         loop {
             let handle = self.threads.lock().pop();
             match handle {
@@ -929,10 +927,6 @@ impl Shared {
             }
         }
     }
-}
-
-fn bad(msg: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -1095,6 +1089,163 @@ mod tests {
             total
         });
         assert_eq!(survivors, vec![21, 21, 0]);
+    }
+
+    /// Run `body` on its own thread and fail the test if it has not
+    /// finished within 10 s, so a lost frame fails instead of hanging.
+    fn watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let h = thread::spawn(body);
+        while !h.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "watchdog: still running after 10 s"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        h.join().unwrap()
+    }
+
+    /// The `seq`-th payload of sender thread `t`: 0 B to 4 KiB, with
+    /// contents that name both.
+    fn payload(t: usize, seq: usize) -> Vec<u8> {
+        let len = (seq * 613 + t * 97) % 4097;
+        (0..len).map(|i| (i * 31 + seq * 7 + t) as u8).collect()
+    }
+
+    #[test]
+    fn concurrent_senders_never_tear_frames() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 500;
+        let generations = watchdog(|| {
+            let busy_detector = |cfg: &mut NetConfig| {
+                cfg.heartbeat_interval = Duration::from_millis(1);
+                cfg.heartbeat_timeout = Duration::from_secs(5);
+            };
+            with_mesh("writers", 2, busy_detector, |rank, transport| {
+                let comm = World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                let other = 1 - rank;
+                let generation = || {
+                    transport.shared.peers[other]
+                        .generation
+                        .load(Ordering::SeqCst)
+                };
+                let before = generation();
+                if rank == 0 {
+                    thread::scope(|s| {
+                        for t in 0..THREADS {
+                            let comm = comm.clone();
+                            s.spawn(move || {
+                                for seq in 0..PER_THREAD {
+                                    comm.send_bytes(1, t as i32, payload(t, seq).into())
+                                        .unwrap();
+                                    // Idle the link now and then, so the
+                                    // detector's heartbeats join the writers.
+                                    if seq % 100 == 99 {
+                                        thread::sleep(Duration::from_millis(3));
+                                    }
+                                }
+                            });
+                        }
+                    });
+                    comm.recv::<u8>(Source::Rank(1), TagSel::Tag(99)).unwrap();
+                } else {
+                    // Arrival order per sender thread must be its send order.
+                    let mut next = [0usize; THREADS];
+                    for _ in 0..THREADS * PER_THREAD {
+                        let (bytes, status) =
+                            comm.recv_bytes(Source::Rank(0), TagSel::Any).unwrap();
+                        let t = status.tag as usize;
+                        assert_eq!(&bytes[..], &payload(t, next[t])[..], "thread {t}");
+                        next[t] += 1;
+                    }
+                    assert_eq!(next, [PER_THREAD; THREADS]);
+                    comm.send(0, 99, &0u8).unwrap();
+                }
+                let after = generation();
+                transport.shutdown();
+                (before, after)
+            })
+        });
+        for (before, after) in generations {
+            assert_eq!(before, after, "a link came down under concurrent senders");
+        }
+    }
+
+    #[test]
+    fn joined_but_unstarted_mesh_keeps_heartbeating() {
+        watchdog(|| {
+            let fast = |cfg: &mut NetConfig| {
+                cfg.heartbeat_interval = Duration::from_millis(20);
+                cfg.heartbeat_timeout = Duration::from_millis(400);
+            };
+            with_mesh("idle", 2, fast, |rank, transport| {
+                // Idle for 2.5 heartbeat timeouts before `World::attach`;
+                // the peer's heartbeats must keep its clock fresh.
+                thread::sleep(Duration::from_secs(1));
+                let sh = &transport.shared;
+                let seen = sh.peers[1 - rank].last_seen.load(Ordering::Relaxed);
+                let silent = Duration::from_nanos(sh.now_ns().saturating_sub(seen));
+                assert!(
+                    silent < sh.cfg.heartbeat_timeout,
+                    "peer silent for {silent:?}"
+                );
+                let comm = World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                // Several detector ticks after `start`, with no traffic.
+                thread::sleep(Duration::from_millis(100));
+                assert!(!comm.any_failed(), "an idle, healthy peer was convicted");
+                if rank == 0 {
+                    comm.send(1, 4, &7u64).unwrap();
+                } else {
+                    assert_eq!(
+                        comm.recv::<u64>(Source::Rank(0), TagSel::Tag(4)).unwrap(),
+                        7
+                    );
+                }
+                comm.barrier().unwrap();
+                transport.shutdown();
+            });
+        });
+    }
+
+    #[test]
+    fn frames_sent_before_shutdown_arrive_before_bye() {
+        const FRAMES: usize = 200;
+        watchdog(|| {
+            with_mesh(
+                "bye",
+                2,
+                |_| {},
+                |rank, transport| {
+                    let comm =
+                        World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                    if rank == 0 {
+                        for seq in 0..FRAMES {
+                            comm.send(1, 5, &payload(seq % 4, seq * 8)).unwrap();
+                        }
+                        transport.shutdown();
+                        return;
+                    }
+                    let closed = || *transport.shared.peers[0].status.lock() == PeerStatus::Closed;
+                    while !closed() {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    // The reader has processed the Bye, so everything sent
+                    // before it is already in the mailbox: no waiting.
+                    for seq in 0..FRAMES {
+                        let (got, _) = comm
+                            .recv_timeout::<Vec<u8>>(
+                                Source::Rank(0),
+                                TagSel::Tag(5),
+                                Duration::ZERO,
+                            )
+                            .unwrap();
+                        assert_eq!(got, payload(seq % 4, seq * 8), "frame {seq}");
+                    }
+                    transport.shutdown();
+                },
+            );
+        });
     }
 
     #[test]
