@@ -324,6 +324,10 @@ mod tests {
         let f3 = Figure34::reconstruct(FIGURE3);
         let f4 = Figure34::reconstruct(FIGURE4);
         assert!(f4.t_test().p_two_sided < f3.t_test().p_two_sided);
+        assert!(
+            f4.t_test().p_two_sided < 1e-5,
+            "preparedness effect is very strong"
+        );
     }
 }
 

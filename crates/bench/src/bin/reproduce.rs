@@ -55,8 +55,8 @@
 //! run under tracing to feed the illustrative artifacts
 //! (`artifacts/insight_dashboard.html`, `artifacts/insight_flame.txt`),
 //! and the exit status is nonzero if the report fails its internal
-//! consistency gate. Gate two artifacts against each other with
-//! `pdc-insight diff`.
+//! consistency gate. The artifact is teaching output: a test pins it to
+//! `tests/golden/BENCH_insight.json`, and no perf gate reads it.
 
 use std::time::Instant;
 

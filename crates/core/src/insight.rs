@@ -27,6 +27,8 @@ use pdc_insight::{critical_path, HistogramSet};
 use pdc_platform::{laws, presets, ExecutionModel, Platform};
 
 use pdc_platform::model::CommShape;
+use pdc_trace::export::{hist_jsonl_for_pid, jsonl_for_pid};
+use pdc_trace::{Event, EventKind, Histogram, MetricKey};
 
 /// Nominal single-worker seconds the canonical models are anchored at —
 /// the same workshop-scale anchors [`crate::study`] uses.
@@ -57,43 +59,45 @@ fn ns(seconds: f64) -> u64 {
     (seconds * 1e9).round() as u64
 }
 
-fn span(out: &mut String, cat: &str, name: &str, ts: u64, tid: u64, pid: u64, dur: u64) {
-    out.push_str(&format!(
-        "{{\"kind\":\"span\",\"cat\":\"{cat}\",\"name\":\"{name}\",\"ts_ns\":{ts},\"tid\":{tid},\"pid\":{pid},\"dur_ns\":{dur}}}\n"
-    ));
-}
-
-#[allow(clippy::too_many_arguments)]
-fn msg_span(
-    out: &mut String,
-    name: &str,
-    ts: u64,
-    tid: u64,
-    pid: u64,
-    dur: u64,
-    src: u64,
-    dst: u64,
-    tag: i64,
-) {
-    out.push_str(&format!(
-        "{{\"kind\":\"span\",\"cat\":\"mpc\",\"name\":\"{name}\",\"ts_ns\":{ts},\"tid\":{tid},\"pid\":{pid},\"dur_ns\":{dur},\"args\":{{\"src\":{src},\"dst\":{dst},\"tag\":{tag}}}}}\n"
-    ));
-}
-
-fn hist_line(out: &mut String, cat: &str, name: &str, pid: u64, h: &pdc_trace::Histogram) {
-    out.push_str(&format!(
-        "{{\"kind\":\"hist\",\"cat\":\"{cat}\",\"name\":\"{name}\",\"pid\":{pid},{}\n",
-        &h.to_json()[1..]
-    ));
-}
-
-/// Record `n` LCG samples in `[lo, hi)` nanoseconds.
-fn synthetic_hist(rng: &mut Lcg, n: usize, lo: u64, hi: u64) -> pdc_trace::Histogram {
-    let mut h = pdc_trace::Histogram::new();
-    for _ in 0..n {
-        h.record(rng.in_range(lo, hi));
+/// A span on thread `tid` of a synthetic process.
+fn span(category: &'static str, name: &'static str, ts_ns: u64, tid: u32, dur_ns: u64) -> Event {
+    Event {
+        kind: EventKind::Span { dur_ns },
+        category,
+        name,
+        ts_ns,
+        tid,
+        args: Vec::new(),
     }
-    h
+}
+
+/// A point-to-point `mpc` span on thread 0, matched by its endpoints and tag.
+fn msg_span(name: &'static str, ts_ns: u64, dur_ns: u64, src: u64, dst: u64, tag: i64) -> Event {
+    Event {
+        args: vec![
+            ("src", src.into()),
+            ("dst", dst.into()),
+            ("tag", tag.into()),
+        ],
+        ..span("mpc", name, ts_ns, 0, dur_ns)
+    }
+}
+
+/// Hist lines stamped with a synthetic `pid`: one histogram per
+/// `(metric, n, lo, hi)` entry, in order, of `n` LCG samples in
+/// `[lo, hi)` nanoseconds.
+fn hist_lines(pid: u32, rng: &mut Lcg, specs: &[(MetricKey, usize, u64, u64)]) -> String {
+    let hists: Vec<(MetricKey, Histogram)> = specs
+        .iter()
+        .map(|&(key, n, lo, hi)| {
+            let mut h = Histogram::new();
+            for _ in 0..n {
+                h.record(rng.in_range(lo, hi));
+            }
+            (key, h)
+        })
+        .collect();
+    hist_jsonl_for_pid(hists.iter().map(|(k, h)| (k, h)), pid)
 }
 
 /// The canonical Module A workload model (integration exemplar) at the
@@ -161,50 +165,24 @@ pub fn synthetic_module_a() -> String {
     let bar = ns(pred.comm_s).max(40_000);
     // Thread 0 is the slowest worker: deterministic skew.
     let skew = [1.00, 0.97, 0.99, 0.94];
-    let mut out = String::new();
-    span(&mut out, "app", "serial_setup", 0, 0, pid, head);
+    let mut events = vec![span("app", "serial_setup", 0, 0, head)];
     let release = head + work;
-    for (t, s) in skew.iter().enumerate() {
+    for (t, s) in (0..).zip(skew) {
         let w = (work as f64 * s) as u64;
-        span(&mut out, "app", "chunk_sum", head, t as u64, pid, w);
-        span(
-            &mut out,
-            "shmem",
-            "barrier_wait",
-            head + w,
-            t as u64,
-            pid,
-            release + bar - (head + w),
-        );
+        events.push(span("app", "chunk_sum", head, t, w));
+        let wait = release + bar - (head + w);
+        events.push(span("shmem", "barrier_wait", head + w, t, wait));
     }
-    span(
-        &mut out,
-        "app",
-        "serial_reduce",
-        release + bar,
-        0,
-        pid,
-        head,
-    );
+    events.push(span("app", "serial_reduce", release + bar, 0, head));
 
     // Synthetic per-thread wait distributions (one process, so one
     // hist line per metric — the multi-pid fold is Module B's job).
     let mut rng = Lcg(0xA11CE);
-    hist_line(
-        &mut out,
-        "shmem",
-        "barrier_wait",
-        pid,
-        &synthetic_hist(&mut rng, 64, 2_000, 400_000),
-    );
-    hist_line(
-        &mut out,
-        "shmem",
-        "lock_wait",
-        pid,
-        &synthetic_hist(&mut rng, 48, 500, 50_000),
-    );
-    out
+    let hists = [
+        (("shmem", "barrier_wait"), 64, 2_000, 400_000),
+        (("shmem", "lock_wait"), 48, 500, 50_000),
+    ];
+    jsonl_for_pid(&events, pid) + &hist_lines(pid, &mut rng, &hists)
 }
 
 /// Synthetic Module B trace: a master-worker round over four rank
@@ -217,63 +195,49 @@ pub fn synthetic_module_b() -> String {
     let total = ns(pred.total_s);
     let wire = ns(pred.comm_s).max(60_000) / 8;
     let sd = wire / 2; // send-side cost
-    let mut out = String::new();
-    let pid_of = |r: u64| 2000 + r;
+    let pid_of = |r: u64| 2000 + r as u32;
 
     // Root assigns work: back-to-back sends to ranks 1..=3.
-    for r in 1..=3u64 {
-        msg_span(&mut out, "send", (r - 1) * sd, 0, pid_of(0), sd, 0, r, 1);
-    }
+    let sends: Vec<Event> = (1..=3u64)
+        .map(|r| msg_span("send", (r - 1) * sd, sd, 0, r, 1))
+        .collect();
+    let mut out = jsonl_for_pid(&sends, pid_of(0));
     // Workers: recv the assignment (posted at 0, completes one wire
     // delay after the send lands), compute, send the result back.
     let work = total - 3 * sd - 3 * (sd + wire);
     let mut result_at = Vec::new();
     for r in 1..=3u64 {
         let assigned = r * sd + wire;
-        msg_span(&mut out, "recv", 0, 0, pid_of(r), assigned, 0, r, 1);
         // Later ranks hold slightly more work: completion stays ordered.
         let w = work + (r - 1) * 2 * (sd + wire);
-        span(&mut out, "app", "score_ligands", assigned, 0, pid_of(r), w);
-        msg_span(&mut out, "send", assigned + w, 0, pid_of(r), sd, r, 0, 2);
+        let worker = [
+            msg_span("recv", 0, assigned, 0, r, 1),
+            span("app", "score_ligands", assigned, 0, w),
+            msg_span("send", assigned + w, sd, r, 0, 2),
+        ];
+        out += &jsonl_for_pid(&worker, pid_of(r));
         result_at.push(assigned + w + sd);
     }
     // Root collects results in rank order.
     let mut cursor = 3 * sd;
-    for r in 1..=3u64 {
-        let done = result_at[(r - 1) as usize] + wire;
-        msg_span(
-            &mut out,
-            "recv",
-            cursor,
-            0,
-            pid_of(0),
-            done - cursor,
-            r,
-            0,
-            2,
-        );
+    let mut root = Vec::new();
+    for (r, at) in (1..).zip(result_at) {
+        let done = at + wire;
+        root.push(msg_span("recv", cursor, done - cursor, r, 0, 2));
         cursor = done;
     }
-    span(&mut out, "app", "combine", cursor, 0, pid_of(0), 2 * sd);
+    root.push(span("app", "combine", cursor, 0, 2 * sd));
+    out += &jsonl_for_pid(&root, pid_of(0));
 
     // Per-rank mailbox / frame-RTT distributions: one hist line per
     // pid and metric, folded across processes by the reader.
     let mut rng = Lcg(0xB0B);
-    for r in 0..4u64 {
-        hist_line(
-            &mut out,
-            "mpc",
-            "mailbox_depth",
-            pid_of(r),
-            &synthetic_hist(&mut rng, 32, 0, 12),
-        );
-        hist_line(
-            &mut out,
-            "mpc",
-            "frame_rtt",
-            pid_of(r),
-            &synthetic_hist(&mut rng, 40, 30_000, 2_000_000),
-        );
+    let hists = [
+        (("mpc", "mailbox_depth"), 32, 0, 12),
+        (("mpc", "frame_rtt"), 40, 30_000, 2_000_000),
+    ];
+    for r in 0..4 {
+        out += &hist_lines(pid_of(r), &mut rng, &hists);
     }
     out
 }
@@ -290,58 +254,43 @@ pub fn synthetic_net() -> String {
     let tail = total / 20;
     let work = total - coll - tail;
     let skew = [0.93, 0.97, 1.00];
-    let mut out = String::new();
-    let pid_of = |r: u64| 3000 + r;
+    let pid_of = |r: u32| 3000 + r;
     let release = work; // last arrival (rank 2, skew 1.00)
-    for (r, s) in skew.iter().enumerate() {
+    let mut out = String::new();
+    for (r, s) in (0..).zip(skew) {
         let w = (work as f64 * s) as u64;
-        span(&mut out, "app", "fire_trials", 0, 0, pid_of(r as u64), w);
-        span(
-            &mut out,
-            "mpc",
-            "allreduce",
-            w,
-            0,
-            pid_of(r as u64),
-            release + coll - w,
-        );
+        let rank = [
+            span("app", "fire_trials", 0, 0, w),
+            span("mpc", "allreduce", w, 0, release + coll - w),
+        ];
+        out += &jsonl_for_pid(&rank, pid_of(r));
     }
-    span(
-        &mut out,
-        "app",
-        "write_report",
-        release + coll,
-        0,
-        pid_of(0),
-        tail,
-    );
+    let report = span("app", "write_report", release + coll, 0, tail);
+    out += &jsonl_for_pid(&[report], pid_of(0));
 
     // Injected-fault decisions along rank 1's compute phase.
     let mut rng = Lcg(0xFA017);
-    for kind in ["drop", "delay", "drop", "duplicate", "reorder"] {
-        let ts = rng.in_range(work / 10, work);
-        out.push_str(&format!(
-            "{{\"kind\":\"instant\",\"cat\":\"net\",\"name\":\"fault_injected\",\"ts_ns\":{ts},\"tid\":0,\"pid\":{},\"args\":{{\"fault\":\"{kind}\",\"dst\":0,\"tag\":7}}}}\n",
-            pid_of(1)
-        ));
-    }
+    let faults: Vec<Event> = ["drop", "delay", "drop", "duplicate", "reorder"]
+        .into_iter()
+        .map(|kind| Event {
+            kind: EventKind::Instant,
+            args: vec![
+                ("fault", kind.into()),
+                ("dst", 0u64.into()),
+                ("tag", 7u64.into()),
+            ],
+            ..span("net", "fault_injected", rng.in_range(work / 10, work), 0, 0)
+        })
+        .collect();
+    out += &jsonl_for_pid(&faults, pid_of(1));
 
     // Wire distributions, one hist line per rank process.
-    for r in 0..3u64 {
-        hist_line(
-            &mut out,
-            "net",
-            "heartbeat_gap",
-            pid_of(r),
-            &synthetic_hist(&mut rng, 50, 45_000_000, 70_000_000),
-        );
-        hist_line(
-            &mut out,
-            "mpc",
-            "frame_rtt",
-            pid_of(r),
-            &synthetic_hist(&mut rng, 30, 80_000, 5_000_000),
-        );
+    let hists = [
+        (("net", "heartbeat_gap"), 50, 45_000_000, 70_000_000),
+        (("mpc", "frame_rtt"), 30, 80_000, 5_000_000),
+    ];
+    for r in 0..3 {
+        out += &hist_lines(pid_of(r), &mut rng, &hists);
     }
     out
 }

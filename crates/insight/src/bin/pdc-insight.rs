@@ -5,9 +5,7 @@
 //! pdc-insight flame    TRACE.jsonl... [-o FILE]  collapsed-stack flamegraph text
 //! pdc-insight dashboard REPORT.json [TRACE...] -o FILE
 //!                                                self-contained HTML dashboard
-//! pdc-insight diff     BASE.json CAND.json [--wall-pct N] [--category-pct N]
-//!                      [--p99-pct N] [--speedup-pct N] [--floor-ms N]
-//!                                                perf gate: nonzero on regression
+//! pdc-insight diff     BASE.json CAND.json       perf gate: exact perfbench counts
 //! ```
 //!
 //! Multiple trace files are merged before analysis (the per-rank files
@@ -18,18 +16,14 @@ use std::process::ExitCode;
 
 use pdc_analyze::traceio::{parse_jsonl, TraceLine};
 use pdc_insight::report::hist_summaries;
-use pdc_insight::{
-    collapsed_stacks, critical_path, dashboard, diff_reports, HistogramSet, InsightReport,
-    Thresholds,
-};
+use pdc_insight::{collapsed_stacks, critical_path, dashboard, diff, HistogramSet, InsightReport};
 
 fn usage() -> ! {
     eprintln!(
         "usage: pdc-insight analyze TRACE.jsonl...\n\
          \x20      pdc-insight flame TRACE.jsonl... [-o FILE]\n\
          \x20      pdc-insight dashboard REPORT.json [TRACE.jsonl...] -o FILE\n\
-         \x20      pdc-insight diff BASE.json CAND.json [--wall-pct N] [--category-pct N]\n\
-         \x20                       [--p99-pct N] [--speedup-pct N] [--floor-ms N]"
+         \x20      pdc-insight diff BASE.json CAND.json"
     );
     std::process::exit(2);
 }
@@ -51,16 +45,6 @@ fn load_traces(paths: &[String]) -> Vec<TraceLine> {
         lines.extend(parse_jsonl(&read(p)));
     }
     lines
-}
-
-fn pct_arg(args: &mut std::vec::IntoIter<String>, flag: &str) -> f64 {
-    match args.next().and_then(|v| v.parse::<f64>().ok()) {
-        Some(v) if v >= 0.0 => v / 100.0,
-        _ => {
-            eprintln!("pdc-insight: {flag} needs a non-negative percent");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn cmd_analyze(traces: Vec<String>) -> ExitCode {
@@ -169,40 +153,22 @@ fn cmd_dashboard(mut rest: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `diff BASE CAND`: exact comparison of perfbench result lines
+/// (see [`pdc_insight::diff`]); exit 0 match, 1 mismatch, 2 bad input.
 fn cmd_diff(rest: Vec<String>) -> ExitCode {
-    let mut t = Thresholds::default();
-    let mut paths = Vec::new();
-    let mut args = rest.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--wall-pct" => t.wall_frac = pct_arg(&mut args, "--wall-pct"),
-            "--category-pct" => t.category_frac = pct_arg(&mut args, "--category-pct"),
-            "--p99-pct" => t.p99_frac = pct_arg(&mut args, "--p99-pct"),
-            "--speedup-pct" => t.speedup_frac = pct_arg(&mut args, "--speedup-pct"),
-            "--floor-ms" => {
-                t.floor_ns = (pct_arg(&mut args, "--floor-ms") * 100.0 * 1e6) as u64;
-            }
-            _ if a.starts_with('-') => usage(),
-            _ => paths.push(a),
-        }
-    }
-    let [base_path, cand_path] = paths.as_slice() else {
+    let [base, cand] = rest.as_slice() else {
         usage();
     };
-    let load = |p: &str| match InsightReport::from_json(&read(p)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pdc-insight: {p}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let d = diff_reports(&load(base_path), &load(cand_path), t);
-    print!("{}", d.render());
-    if d.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if base.starts_with('-') || cand.starts_with('-') {
+        usage();
     }
+    let (code, text) = diff::gate(&read(base), &read(cand));
+    if code == 2 {
+        eprint!("{text}");
+    } else {
+        print!("{text}");
+    }
+    ExitCode::from(code)
 }
 
 fn main() -> ExitCode {

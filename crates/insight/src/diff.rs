@@ -1,304 +1,144 @@
-//! The perf-regression gate: compare two insight artifacts.
+//! The perf gate: exact comparison of perfbench counts.
 //!
-//! `pdc-insight diff <baseline> <candidate>` compares studies by name
-//! and flags **regressions** — the candidate got meaningfully worse —
-//! with noise tolerance on two axes:
+//! `pdc-insight diff BASE CAND` reads two perfbench result lines. BASE
+//! is a committed, trimmed line (`tests/golden/perf_counts/<workload>.json`)
+//! holding `correct`, `failed` and the counters that read the same on
+//! every seed; CAND is the last stdout line of
+//! `perfbench/run.py --workload <w> --seconds 2 --trace 1`. Every
+//! top-level scalar and every metric value in BASE must appear in CAND
+//! with an equal value. Keys only CAND has are ignored, so the timing
+//! rows of a traced run never gate anything: timings drift on a shared
+//! host and stay with the interleaved A/B protocol, while a count moves
+//! only when the runtime sends another message or records another
+//! event.
 //!
-//! * **relative**: a metric must grow by more than a threshold fraction
-//!   (default 10% wall, 25% per-category, 50% tail latency — waits and
-//!   tails are noisier than wall time);
-//! * **absolute**: growth under an absolute floor (default 1 ms) never
-//!   flags, however large the ratio — a 3 µs barrier wait tripling is
-//!   measurement noise, not a regression.
-//!
-//! Improvements and disappearing metrics never flag; a study present in
-//! the baseline but missing from the candidate does (losing a study is
-//! how a gate silently rots). Exit status: `diff_reports(...).ok()`
-//! false → nonzero.
+//! Exit status: 0 on a match, 1 on any mismatch (each listed as
+//! `metric: base → cand`), 2 when an input does not parse.
 
-use serde::{Deserialize, Serialize};
+use serde_json::{Map, Value};
 
-use crate::report::{InsightReport, StudyInsight};
-
-/// Noise-tolerance knobs. Defaults are deliberately loose: the gate is
-/// meant to catch a real 20% cliff, not to flap on scheduler jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Thresholds {
-    /// Max tolerated relative growth of a study's critical-path wall
-    /// time (fraction, e.g. `0.10` = 10%).
-    pub wall_frac: f64,
-    /// Max tolerated relative growth of one attribution category.
-    pub category_frac: f64,
-    /// Max tolerated relative growth of a histogram's p99.
-    pub p99_frac: f64,
-    /// Max tolerated relative drop of a scaling row's speedup.
-    pub speedup_frac: f64,
-    /// Absolute floor: nanosecond growth below this never flags.
-    pub floor_ns: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            wall_frac: 0.10,
-            category_frac: 0.25,
-            p99_frac: 0.50,
-            speedup_frac: 0.10,
-            floor_ns: 1_000_000, // 1 ms
-        }
+/// Parse one result line into its top-level object.
+fn parse(label: &str, text: &str) -> Result<Map, String> {
+    match serde_json::from_str::<Value>(text.trim()) {
+        Ok(Value::Object(map)) => Ok(map),
+        Ok(_) => Err(format!("{label}: not a JSON object")),
+        Err(e) => Err(format!("{label}: {e}")),
     }
 }
 
-/// One flagged regression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Regression {
-    pub study: String,
-    /// What regressed (`"wall"`, `"barrier"`, `"hist shmem/barrier_wait p99"`,
-    /// `"speedup p=4"`, `"missing study"`).
-    pub metric: String,
-    pub baseline: f64,
-    pub candidate: f64,
-    /// Relative change, positive = worse.
-    pub change_frac: f64,
-}
-
-/// The outcome of one comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiffReport {
-    pub thresholds: Thresholds,
-    pub regressions: Vec<Regression>,
-    /// Studies compared (names present in both artifacts).
-    pub compared: Vec<String>,
-}
-
-impl DiffReport {
-    /// The gate: true when nothing regressed and at least one study was
-    /// actually compared (two disjoint artifacts must not pass).
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && !self.compared.is_empty()
-    }
-
-    /// Human-readable rendering.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Insight diff: {} stud{} compared, {} regression{}\n",
-            self.compared.len(),
-            if self.compared.len() == 1 { "y" } else { "ies" },
-            self.regressions.len(),
-            if self.regressions.len() == 1 { "" } else { "s" },
-        );
-        for r in &self.regressions {
-            out.push_str(&format!(
-                "  REGRESSION [{}] {}: {:.4} -> {:.4} ({:+.1}%)\n",
-                r.study,
-                r.metric,
-                r.baseline,
-                r.candidate,
-                100.0 * r.change_frac
-            ));
-        }
-        out.push_str(&format!(
-            "  verdict: {}\n",
-            if self.ok() {
-                "no regressions"
-            } else {
-                "GATE FAILS"
-            }
-        ));
-        out
+/// Numbers compare by value (`82` equals `82.0`), anything else exactly.
+fn same(base: &Value, cand: &Value) -> bool {
+    match (base.as_f64(), cand.as_f64()) {
+        (Some(b), Some(c)) => b == c,
+        _ => base == cand,
     }
 }
 
-/// Did `cand` grow past both the relative and absolute tolerance?
-fn worse_ns(base: u64, cand: u64, frac: f64, floor_ns: u64) -> bool {
-    cand > base
-        && cand - base >= floor_ns
-        && (base == 0 || (cand - base) as f64 > frac * base as f64)
+/// Every BASE entry CAND does not reproduce, as `metric: base → cand`
+/// lines; `Err` when either input is not a result line.
+fn diff_counts(base: &str, cand: &str) -> Result<Vec<String>, String> {
+    let base = parse("BASE", base)?;
+    let cand = parse("CAND", cand)?;
+    let metrics = |m: &Map| m.get("metrics").and_then(Value::as_object).cloned();
+    let base_metrics = metrics(&base)
+        .filter(|m| !m.is_empty())
+        .ok_or("BASE: no metrics to compare")?;
+    let cand_metrics = metrics(&cand).unwrap_or_default();
+
+    let scalars = base
+        .iter()
+        .filter(|(_, v)| !matches!(v, Value::Object(_) | Value::Array(_)))
+        .map(|(k, v)| (k, v, cand.get(k)));
+    let values = base_metrics
+        .iter()
+        .map(|(k, m)| (k, &m["value"], cand_metrics.get(k).map(|c| &c["value"])));
+    Ok(scalars
+        .chain(values)
+        .filter(|(_, b, c)| !c.is_some_and(|c| same(b, c)))
+        .map(|(k, b, c)| match c {
+            Some(c) => format!("{k}: {b} → {c}"),
+            None => format!("{k}: {b} → missing"),
+        })
+        .collect())
 }
 
-fn rel(base: f64, cand: f64) -> f64 {
-    if base == 0.0 {
-        if cand == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (cand - base) / base
-    }
-}
-
-fn diff_study(base: &StudyInsight, cand: &StudyInsight, t: &Thresholds, out: &mut Vec<Regression>) {
-    let push = |out: &mut Vec<Regression>, metric: String, b: f64, c: f64| {
-        out.push(Regression {
-            study: base.study.clone(),
-            metric,
-            baseline: b,
-            candidate: c,
-            change_frac: rel(b, c),
-        });
-    };
-
-    if worse_ns(
-        base.path.wall_ns,
-        cand.path.wall_ns,
-        t.wall_frac,
-        t.floor_ns,
-    ) {
-        push(
-            out,
-            "wall_ns".into(),
-            base.path.wall_ns as f64,
-            cand.path.wall_ns as f64,
-        );
-    }
-    for ((label, b_ns), (_, c_ns)) in base.path.parts().into_iter().zip(cand.path.parts()) {
-        if worse_ns(b_ns, c_ns, t.category_frac, t.floor_ns) {
-            push(out, format!("{label}_ns"), b_ns as f64, c_ns as f64);
-        }
-    }
-    for b_row in &base.scaling {
-        if let Some(c_row) = cand.scaling.iter().find(|c| c.p == b_row.p) {
-            let drop = rel(b_row.speedup, c_row.speedup);
-            if drop < -t.speedup_frac {
-                push(
-                    out,
-                    format!("speedup p={}", b_row.p),
-                    b_row.speedup,
-                    c_row.speedup,
-                );
-                // Report the drop as positive "worse".
-                out.last_mut().expect("just pushed").change_frac = -drop;
-            }
-        }
-    }
-    for b_h in &base.histograms {
-        if let Some(c_h) = cand
-            .histograms
-            .iter()
-            .find(|c| c.cat == b_h.cat && c.name == b_h.name)
-        {
-            if worse_ns(b_h.p99_ns, c_h.p99_ns, t.p99_frac, t.floor_ns) {
-                push(
-                    out,
-                    format!("hist {}/{} p99_ns", b_h.cat, b_h.name),
-                    b_h.p99_ns as f64,
-                    c_h.p99_ns as f64,
-                );
-            }
-        }
-    }
-}
-
-/// Compare a candidate artifact against a baseline.
-pub fn diff_reports(base: &InsightReport, cand: &InsightReport, t: Thresholds) -> DiffReport {
-    let mut regressions = Vec::new();
-    let mut compared = Vec::new();
-    for b in &base.studies {
-        match cand.studies.iter().find(|c| c.study == b.study) {
-            Some(c) => {
-                compared.push(b.study.clone());
-                diff_study(b, c, &t, &mut regressions);
-            }
-            None => regressions.push(Regression {
-                study: b.study.clone(),
-                metric: "missing study".into(),
-                baseline: 1.0,
-                candidate: 0.0,
-                change_frac: f64::INFINITY,
-            }),
-        }
-    }
-    DiffReport {
-        thresholds: t,
-        regressions,
-        compared,
+/// The whole gate: the exit status and the text to print.
+pub fn gate(base: &str, cand: &str) -> (u8, String) {
+    match diff_counts(base, cand) {
+        Ok(m) if m.is_empty() => (0, "counts match\n".into()),
+        Ok(m) => (
+            1,
+            format!("{} mismatch(es):\n  {}\n", m.len(), m.join("\n  ")),
+        ),
+        Err(e) => (2, format!("pdc-insight: {e}\n")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{HistSummary, PathSummary, ScalingRow};
 
-    fn study(wall_ms: u64, barrier_ms: u64, speedup4: f64, p99_us: u64) -> StudyInsight {
-        let wall_ns = wall_ms * 1_000_000;
-        let barrier_ns = barrier_ms * 1_000_000;
-        StudyInsight {
-            study: "module A".into(),
-            path: PathSummary {
-                wall_ns,
-                compute_ns: wall_ns - barrier_ns,
-                barrier_ns,
-                lock_ns: 0,
-                wire_ns: 0,
-                idle_ns: 0,
-                steps: 4,
-            },
-            scaling: vec![
-                ScalingRow::new(1, 4.0, 1.0, 1.0, 0.0),
-                ScalingRow::new(4, 4.0 / speedup4, speedup4, speedup4 / 4.0, 0.05),
-            ],
-            histograms: vec![HistSummary {
-                cat: "shmem".into(),
-                name: "barrier_wait".into(),
-                count: 100,
-                p50_ns: p99_us * 300,
-                p90_ns: p99_us * 800,
-                p99_ns: p99_us * 1_000,
-                max_ns: p99_us * 1_100,
-            }],
+    const BASE: &str = r#"{"correct":true,"failed":0,"metrics":{"mpc.suite_msgs":{"value":82,"unit":"count"},"net.frames_per_lab":{"value":82,"unit":"count"}}}"#;
+
+    fn cand(correct: bool, failed: u64, msgs: u64) -> String {
+        format!(
+            r#"{{"correct":{correct},"attempted":40,"failed":{failed},"metrics":{{"mpc.suite_msgs":{{"value":{msgs},"unit":"count"}},"net.frames_per_lab":{{"value":82.0,"unit":"count"}},"net.rtt_typed_u64_us":{{"value":51.3,"unit":"us"}}}}}}"#
+        )
+    }
+
+    #[test]
+    fn identical_lines_pass() {
+        assert_eq!(gate(BASE, BASE).0, 0);
+    }
+
+    #[test]
+    fn extra_timing_metrics_in_cand_are_ignored() {
+        let (code, out) = gate(BASE, &cand(true, 0, 82));
+        assert_eq!(code, 0, "{out}");
+    }
+
+    #[test]
+    fn one_count_off_by_one_fails_and_names_the_metric() {
+        assert_eq!(
+            diff_counts(BASE, &cand(true, 0, 83)).unwrap(),
+            vec!["mpc.suite_msgs: 82 → 83"]
+        );
+        let (code, out) = gate(BASE, &cand(true, 0, 83));
+        assert_eq!(code, 1);
+        assert!(out.contains("mpc.suite_msgs: 82 → 83"), "{out}");
+    }
+
+    #[test]
+    fn a_metric_missing_from_cand_fails() {
+        let cand = r#"{"correct":true,"failed":0,"metrics":{"mpc.suite_msgs":{"value":82,"unit":"count"}}}"#;
+        assert_eq!(
+            diff_counts(BASE, cand).unwrap(),
+            vec!["net.frames_per_lab: 82 → missing"]
+        );
+        assert_eq!(gate(BASE, cand).0, 1);
+    }
+
+    #[test]
+    fn an_incorrect_or_failed_cand_fails() {
+        assert_eq!(
+            diff_counts(BASE, &cand(false, 0, 82)).unwrap(),
+            vec!["correct: true → false"]
+        );
+        assert_eq!(
+            diff_counts(BASE, &cand(true, 1, 82)).unwrap(),
+            vec!["failed: 0 → 1"]
+        );
+        assert_eq!(gate(BASE, &cand(false, 1, 82)).0, 1);
+    }
+
+    #[test]
+    fn truncated_or_non_json_input_exits_2() {
+        let full = cand(true, 0, 82);
+        for bad in [&full[..full.len() / 2], "", "run.py: build failed", "[1,2]"] {
+            assert_eq!(gate(BASE, bad).0, 2, "CAND {bad:?}");
+            assert_eq!(gate(bad, &full).0, 2, "BASE {bad:?}");
         }
-    }
-
-    #[test]
-    fn identical_reports_pass() {
-        let r = InsightReport::new(vec![study(100, 20, 3.2, 5_000)]);
-        let d = diff_reports(&r, &r, Thresholds::default());
-        assert!(d.ok(), "{}", d.render());
-        assert_eq!(d.compared, vec!["module A"]);
-    }
-
-    #[test]
-    fn twenty_percent_wall_regression_fails() {
-        let base = InsightReport::new(vec![study(100, 20, 3.2, 5_000)]);
-        let cand = InsightReport::new(vec![study(120, 20, 3.2, 5_000)]);
-        let d = diff_reports(&base, &cand, Thresholds::default());
-        assert!(!d.ok());
-        assert!(d.regressions.iter().any(|r| r.metric == "wall_ns"), "{d:?}");
-    }
-
-    #[test]
-    fn small_absolute_growth_is_noise() {
-        // Barrier triples but only grows by 200 µs — under the 1 ms
-        // floor, so tolerated.
-        let base = InsightReport::new(vec![study(100, 0, 3.2, 100)]);
-        let mut cand = InsightReport::new(vec![study(100, 0, 3.2, 300)]);
-        cand.studies[0].path.barrier_ns = 200_000;
-        cand.studies[0].path.compute_ns -= 200_000;
-        let d = diff_reports(&base, &cand, Thresholds::default());
-        assert!(d.ok(), "{}", d.render());
-    }
-
-    #[test]
-    fn speedup_drop_and_missing_study_fail() {
-        let base = InsightReport::new(vec![study(100, 20, 3.2, 5_000)]);
-        let cand = InsightReport::new(vec![study(100, 20, 2.0, 5_000)]);
-        let d = diff_reports(&base, &cand, Thresholds::default());
-        assert!(d.regressions.iter().any(|r| r.metric == "speedup p=4"));
-
-        let empty = InsightReport::new(vec![]);
-        let d = diff_reports(&base, &empty, Thresholds::default());
-        assert!(!d.ok());
-        assert_eq!(d.regressions[0].metric, "missing study");
-        // And two disjoint artifacts must not silently pass.
-        assert!(!diff_reports(&empty, &empty, Thresholds::default()).ok());
-    }
-
-    #[test]
-    fn improvements_never_flag() {
-        let base = InsightReport::new(vec![study(100, 20, 3.2, 5_000)]);
-        let cand = InsightReport::new(vec![study(50, 5, 3.9, 1_000)]);
-        assert!(diff_reports(&base, &cand, Thresholds::default()).ok());
+        // A BASE with nothing to compare must not pass vacuously.
+        assert_eq!(gate(r#"{"correct":true,"metrics":{}}"#, &full).0, 2);
     }
 }

@@ -20,9 +20,10 @@
 //! * [`flame`] — collapsed-stack flamegraph text (`a;b;c count`
 //!   format, directly loadable by standard flamegraph tooling) built
 //!   from each lane's span nesting.
-//! * [`diff`] — a noise-tolerant perf-regression gate comparing two
-//!   insight reports; [`report`] carries the serializable artifact and
-//!   [`dashboard`] renders the self-contained instructor HTML.
+//! * [`diff`] — the perf gate: an exact comparison of the counts in
+//!   two perfbench result lines; [`report`] carries the serializable
+//!   artifact and [`dashboard`] renders the self-contained instructor
+//!   HTML.
 //!
 //! Everything here is deterministic given its input bytes: maps are
 //! `BTreeMap`s, floats are formatted through fixed-precision helpers,
@@ -36,7 +37,6 @@ pub mod histset;
 pub mod report;
 
 pub use dag::{critical_path, Breakdown, Category, CriticalPath};
-pub use diff::{diff_reports, DiffReport, Thresholds};
 pub use flame::collapsed_stacks;
 pub use histset::HistogramSet;
 pub use report::{HistSummary, InsightReport, PathSummary, ScalingRow, StudyInsight};

@@ -4,8 +4,8 @@
 //! the scaling table (speedup / efficiency / Karp–Flatt per worker
 //! count), and the folded histogram percentiles. Floats are rounded to
 //! four decimals at construction so the JSON is byte-deterministic
-//! whenever the inputs are; this is the file `pdc-insight diff` gates
-//! on and CI compares across double runs.
+//! whenever the inputs are; CI compares it across double runs. It is
+//! teaching output: no perf gate reads it.
 
 use serde::{Deserialize, Serialize};
 

@@ -156,7 +156,12 @@ pub fn jsonl(events: &[Event]) -> String {
     // Stamp each line with the emitting OS pid so streams merged from
     // several rank processes stay attributable (and `pdc-analyze` can
     // tell a multi-process run from sequential same-process runs).
-    let pid = std::process::id();
+    jsonl_for_pid(events, std::process::id())
+}
+
+/// [`jsonl`] stamped with a given `pid` instead of this process's: the
+/// writer for traces laid out on behalf of other (or virtual) processes.
+pub fn jsonl_for_pid(events: &[Event], pid: u32) -> String {
     let mut out = String::new();
     for e in events {
         out.push('{');
@@ -199,7 +204,15 @@ pub fn jsonl(events: &[Event]) -> String {
 /// wire study append theirs to the per-rank trace file and the driver
 /// (or `pdc-insight`) merges same-keyed histograms by bucket addition.
 pub fn hist_jsonl(hists: &BTreeMap<MetricKey, Histogram>) -> String {
-    let pid = std::process::id();
+    hist_jsonl_for_pid(hists, std::process::id())
+}
+
+/// [`hist_jsonl`] stamped with a given `pid`, one line per histogram in
+/// the iterator's order.
+pub fn hist_jsonl_for_pid<'a>(
+    hists: impl IntoIterator<Item = (&'a MetricKey, &'a Histogram)>,
+    pid: u32,
+) -> String {
     let mut out = String::new();
     for ((cat, name), h) in hists {
         let _ = write!(out, "{{\"kind\":\"hist\",\"cat\":");
