@@ -9,6 +9,15 @@
 //! costs are irregular: the exemplar that motivates **dynamic
 //! scheduling** (shared memory) and **master-worker dealing** (message
 //! passing).
+//!
+//! The master-worker deal ([`run_mpc`]) is pipelined: each result a
+//! worker returns doubles as its request for the next task, and every
+//! worker holds two tasks at a time. A ligand costs about as much to
+//! score as a message round trip, so a worker that asked and then waited
+//! for each task would spend about half its time waiting; with the next
+//! task already queued, it only scores. The recoverable run
+//! ([`run_mpc_recoverable`]) keeps the plain ready-task-result handshake,
+//! which its retransmission and reassignment logic is built on.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -26,6 +35,12 @@ use crate::recovery::RecoveredRun;
 
 /// Alphabet the generator draws from (as in the CSinParallel original).
 const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+
+/// Master-worker tags: a worker's `Ready` (recoverable run only), the
+/// master's task index (`-1` dismisses), a worker's result.
+const TAG_READY: i32 = 0;
+const TAG_TASK: i32 = 1;
+const TAG_RESULT: i32 = 2;
 
 /// Workload configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,12 +125,16 @@ pub fn score(ligand: &str, protein: &str) -> usize {
     prev[p.len()]
 }
 
-fn collect_best(scored: Vec<(usize, String)>) -> DrugResult {
-    let max_score = scored.iter().map(|(s, _)| *s).max().unwrap_or(0);
-    let mut best_ligands: Vec<String> = scored
-        .into_iter()
-        .filter(|(s, _)| *s == max_score)
-        .map(|(_, l)| l)
+/// The best score and its ligands, from `scores[i]` = score of
+/// `ligands[i]`. Only the winners are cloned.
+fn collect_best(ligands: &[String], scores: &[usize]) -> DrugResult {
+    assert_eq!(ligands.len(), scores.len(), "one score per ligand");
+    let max_score = scores.iter().copied().max().unwrap_or(0);
+    let mut best_ligands: Vec<String> = ligands
+        .iter()
+        .zip(scores)
+        .filter(|&(_, &s)| s == max_score)
+        .map(|(l, _)| l.clone())
         .collect();
     best_ligands.sort();
     best_ligands.dedup();
@@ -127,29 +146,23 @@ fn collect_best(scored: Vec<(usize, String)>) -> DrugResult {
 
 /// Sequential baseline.
 pub fn run_seq(config: &DrugConfig) -> DrugResult {
-    let scored = make_ligands(config)
-        .into_iter()
-        .map(|l| (score(&l, &config.protein), l))
-        .collect();
-    collect_best(scored)
+    let ligands = make_ligands(config);
+    let scores: Vec<usize> = ligands.iter().map(|l| score(l, &config.protein)).collect();
+    collect_best(&ligands, &scores)
 }
 
 /// Shared-memory version: the scoring loop is work-shared under the given
 /// schedule (dynamic balances the irregular scoring costs).
 pub fn run_shmem(config: &DrugConfig, team: &Team, schedule: Schedule) -> DrugResult {
     let ligands = make_ligands(config);
-    let scores: Vec<parking_lot_free::Slot> = (0..ligands.len())
+    let slots: Vec<parking_lot_free::Slot> = (0..ligands.len())
         .map(|_| parking_lot_free::Slot::new())
         .collect();
     parallel_for(team, 0..ligands.len(), schedule, |i, _| {
-        scores[i].set(score(&ligands[i], &config.protein));
+        slots[i].set(score(&ligands[i], &config.protein));
     });
-    let scored = ligands
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| (scores[i].get(), l))
-        .collect();
-    collect_best(scored)
+    let scores: Vec<usize> = slots.iter().map(parking_lot_free::Slot::get).collect();
+    collect_best(&ligands, &scores)
 }
 
 /// Tiny lock-free write-once cell so the parallel loop can publish one
@@ -182,9 +195,22 @@ mod parking_lot_free {
     }
 }
 
-/// Message-passing version: the master-worker pattern. Rank 0 deals
-/// ligand indices on demand; workers score and return `(index, score)`;
-/// the master assembles the result and broadcasts it.
+/// Tasks each worker of [`run_mpc`] holds at once: one it is scoring and
+/// one waiting in its mailbox, so the round trip that returns a result
+/// and fetches the next task overlaps the next score. On a 2-vCPU host,
+/// depths 4 and 8 measured no faster than 2, and a deeper queue deals
+/// the tail of the population less evenly.
+const DEPTH: usize = 2;
+
+/// Message-passing version: the master-worker pattern, pipelined. Rank 0
+/// primes every worker with up to [`DEPTH`] ligand indices; each
+/// `(index, score)` result a worker returns doubles as its request for
+/// more, which the master answers with the next undealt index. The deal
+/// stays dynamic (a fast worker asks more often) but a worker never waits
+/// a round trip for work: while it scores one ligand, the next is
+/// already in its mailbox. That is two messages per ligand. Once every
+/// score is in, the master dismisses each worker with `-1`, assembles the
+/// result and broadcasts it.
 pub fn run_mpc(config: &DrugConfig, np: usize) -> DrugResult {
     assert!(np >= 1);
     if np == 1 {
@@ -192,62 +218,45 @@ pub fn run_mpc(config: &DrugConfig, np: usize) -> DrugResult {
     }
     let ligands = make_ligands(config);
     let results = World::new(np).run(|comm| {
-        const TAG_READY: i32 = 0;
-        const TAG_TASK: i32 = 1;
-        const TAG_RESULT: i32 = 2;
         if comm.rank() == 0 {
-            let mut scored: Vec<(usize, String)> = Vec::with_capacity(ligands.len());
+            let n = ligands.len();
+            let mut scores = vec![0usize; n];
             let mut next = 0usize;
-            let mut outstanding = 0usize;
-            let mut idle: Vec<usize> = Vec::new();
-            // Prime: wait for ready messages, deal indices, collect results.
-            while scored.len() < ligands.len() {
-                let (msg, st) = comm
-                    .recv_status::<WorkerMsg>(Source::Any, TagSel::Any)
-                    .unwrap();
-                match msg {
-                    WorkerMsg::Ready => {
-                        if next < ligands.len() {
-                            comm.send(st.source, TAG_TASK, &(next as i64)).unwrap();
-                            next += 1;
-                            outstanding += 1;
-                        } else {
-                            idle.push(st.source);
-                        }
-                    }
-                    WorkerMsg::Result { index, score } => {
-                        scored.push((score, ligands[index].clone()));
-                        outstanding -= 1;
+            // Prime round by round, so every worker starts at once.
+            for _ in 0..DEPTH {
+                for w in 1..comm.size() {
+                    if next < n {
+                        comm.send(w, TAG_TASK, &(next as i64)).unwrap();
+                        next += 1;
                     }
                 }
             }
-            debug_assert_eq!(outstanding, 0);
-            // Dismiss all workers (those already idle plus future readies).
-            let mut dismissed = idle.len();
-            for w in idle {
+            for _ in 0..n {
+                let ((index, s), st) = comm
+                    .recv_status::<(usize, usize)>(Source::Any, TagSel::Tag(TAG_RESULT))
+                    .unwrap();
+                scores[index] = s;
+                if next < n {
+                    comm.send(st.source, TAG_TASK, &(next as i64)).unwrap();
+                    next += 1;
+                }
+            }
+            // Per-pair order is FIFO, so each dismissal lands behind the
+            // worker's last task.
+            for w in 1..comm.size() {
                 comm.send(w, TAG_TASK, &-1i64).unwrap();
             }
-            while dismissed < comm.size() - 1 {
-                let (msg, st) = comm
-                    .recv_status::<WorkerMsg>(Source::Any, TagSel::Tag(TAG_READY))
-                    .unwrap();
-                debug_assert!(matches!(msg, WorkerMsg::Ready));
-                comm.send(st.source, TAG_TASK, &-1i64).unwrap();
-                dismissed += 1;
-            }
-            let result = collect_best(scored);
-            comm.bcast(0, Some(result)).unwrap()
+            comm.bcast(0, Some(collect_best(&ligands, &scores)))
+                .unwrap()
         } else {
             loop {
-                comm.send(0, TAG_READY, &WorkerMsg::Ready).unwrap();
                 let idx: i64 = comm.recv(0, TAG_TASK).unwrap();
                 if idx < 0 {
                     break;
                 }
                 let i = idx as usize;
                 let s = score(&ligands[i], &config.protein);
-                comm.send(0, TAG_RESULT, &WorkerMsg::Result { index: i, score: s })
-                    .unwrap();
+                comm.send(0, TAG_RESULT, &(i, s)).unwrap();
             }
             comm.bcast::<DrugResult>(0, None).unwrap()
         }
@@ -260,8 +269,10 @@ fn drug_key(i: usize) -> String {
     format!("drug/{i}")
 }
 
-/// Chaos-hardened master-worker run: [`run_mpc`] rebuilt to survive the
-/// fault plan armed in `ctx`.
+/// Chaos-hardened master-worker run: the dealing of [`run_mpc`] rebuilt
+/// to survive the fault plan armed in `ctx`. Workers still ask for each
+/// task with a `Ready` message, the handshake its retransmission and
+/// reassignment are built on.
 ///
 /// Recovery is *in-run* for worker failures: the master tracks which
 /// ligand indices are outstanding on which worker, and when a worker's
@@ -310,18 +321,16 @@ pub fn run_mpc_recoverable(
     // result is still exact — checkpointed scores are reused, missing
     // ones recomputed.
     let value = value.unwrap_or_else(|| {
-        let scored = ligands
+        let scores: Vec<usize> = ligands
             .iter()
             .enumerate()
             .map(|(i, l)| {
-                let s = ctx
-                    .checkpoints
+                ctx.checkpoints
                     .peek::<usize>(&drug_key(i))
-                    .unwrap_or_else(|| score(l, &config.protein));
-                (s, l.clone())
+                    .unwrap_or_else(|| score(l, &config.protein))
             })
             .collect();
-        collect_best(scored)
+        collect_best(&ligands, &scores)
     });
     // The run completed despite every crash that fired: mark them
     // recovered so the ledger reconciles (recovered == recoverable).
@@ -349,9 +358,6 @@ fn drug_attempt(
     ctx: &ChaosContext,
     comm: &Comm,
 ) -> Option<DrugResult> {
-    const TAG_READY: i32 = 0;
-    const TAG_TASK: i32 = 1;
-    const TAG_RESULT: i32 = 2;
     let store = &ctx.checkpoints;
     let n = ligands.len();
     if comm.rank() == 0 {
@@ -450,13 +456,8 @@ fn drug_attempt(
                 }
             }
         }
-        let result = collect_best(
-            scores
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.expect("all scored"), ligands[i].clone()))
-                .collect(),
-        );
+        let scores: Vec<usize> = scores.iter().map(|s| s.expect("all scored")).collect();
+        let result = collect_best(ligands, &scores);
         // ULFM finale: continue degraded on the shrunken communicator.
         if let Ok(alive) = comm.shrink() {
             let _ = alive.bcast(0, Some(result.clone()));
@@ -492,7 +493,7 @@ fn drug_attempt(
     }
 }
 
-/// Worker-to-master protocol messages.
+/// Worker-to-master messages of the recoverable run.
 #[derive(Debug, Serialize, Deserialize)]
 enum WorkerMsg {
     /// "Give me work."
@@ -509,6 +510,8 @@ enum WorkerMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_mpc::analysis::{record_into, CommLog, OpKind};
+    use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
     fn score_is_lcs() {
@@ -578,16 +581,88 @@ mod tests {
         }
     }
 
+    /// Run `f` on its own thread and fail after 10 s instead of hanging,
+    /// so a lost task or dismissal fails the test.
+    fn watchdog<R: Send + 'static>(what: String, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(r) => r,
+            Err(RecvTimeoutError::Timeout) => panic!("watchdog: {what} still running after 10 s"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+        }
+    }
+
     #[test]
     fn mpc_matches_seq() {
+        // 0..=5 ligands leave some primed slots empty (zero ligands: every
+        // worker is only dismissed); 40 keeps every worker busy.
+        for num_ligands in [0, 1, 2, 3, 4, 5, 40] {
+            let config = DrugConfig {
+                num_ligands,
+                ..DrugConfig::default()
+            };
+            let want = run_seq(&config);
+            for np in [1, 2, 3, 5] {
+                let what = format!("run_mpc(num_ligands={num_ligands}, np={np})");
+                let c = config.clone();
+                let got = watchdog(what.clone(), move || run_mpc(&c, np));
+                assert_eq!(got, want, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn mpc_sends_one_task_and_one_result_per_ligand() {
+        let l = 40;
         let config = DrugConfig {
-            num_ligands: 40,
+            num_ligands: l,
             ..DrugConfig::default()
         };
-        let want = run_seq(&config);
-        for np in [1, 2, 3, 5] {
-            let got = run_mpc(&config, np);
-            assert_eq!(got, want, "np={np}");
+        for np in [2, 3, 5] {
+            let log = CommLog::new();
+            let c = config.clone();
+            let l2 = log.clone();
+            watchdog(format!("run_mpc(np={np})"), move || {
+                record_into(&l2, || run_mpc(&c, np))
+            });
+            let runs = log.take();
+            assert_eq!(runs.len(), 1, "np={np}");
+            let ops = &runs[0].ops;
+            let user_sends = ops
+                .iter()
+                .filter(|o| matches!(o.kind, OpKind::Send { user: true, .. }))
+                .count();
+            // A task and a result per ligand, a dismissal per worker.
+            assert_eq!(user_sends, 2 * l + (np - 1), "np={np}");
+            for w in 1..np {
+                let tasks = ops
+                    .iter()
+                    .filter(|o| {
+                        o.rank == w && matches!(o.kind, OpKind::RecvDone { tag: TAG_TASK, .. })
+                    })
+                    .count();
+                let results = ops
+                    .iter()
+                    .filter(|o| {
+                        o.rank == w
+                            && matches!(
+                                o.kind,
+                                OpKind::Send {
+                                    tag: TAG_RESULT,
+                                    ..
+                                }
+                            )
+                    })
+                    .count();
+                assert_eq!(
+                    results + 1,
+                    tasks,
+                    "np={np} worker {w}: one result per task"
+                );
+            }
         }
     }
 
