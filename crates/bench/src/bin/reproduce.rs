@@ -317,7 +317,10 @@ fn main() {
     }
 
     if chaos_failed {
-        eprintln!("chaos study: unrecovered faults (see artifacts/BENCH_chaos.json)");
+        eprintln!(
+            "chaos study: unrecovered faults, missed crashes or inexact values \
+             (see artifacts/BENCH_chaos.json)"
+        );
         std::process::exit(1);
     }
     if analyze_failed {

@@ -43,10 +43,27 @@ pub fn canonical_fire_plan(seed: u64) -> FaultPlan {
 ///
 /// No probabilistic message faults here: master-worker dealing is
 /// scheduling-dependent, so per-message faults would make the ledger
-/// nondeterministic. Crash steps count *scored tasks*, which every
-/// schedule reaches, so the ledger stays a pure function of the seed.
+/// nondeterministic. A crash step counts the tasks the doomed worker
+/// receives, and which worker wins each deal depends on the schedule; the
+/// master therefore holds back queued tasks until the doomed worker has
+/// been dealt the one its crash point names. The crash always fires, so
+/// the ledger stays a pure function of the seed.
 pub fn canonical_drug_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_straggler(1, 1).with_crash(2, 2)
+}
+
+/// Row names of the two studies; a row finds its canonical plan by name.
+const FIRE_ROW: &str = "forest fire (Monte-Carlo sweep)";
+const DRUG_ROW: &str = "drug design (master-worker)";
+
+/// Crashes the canonical plan of the study row named `exemplar` schedules.
+fn scheduled_crashes(exemplar: &str, seed: u64) -> u64 {
+    let plan = match exemplar {
+        FIRE_ROW => canonical_fire_plan(seed),
+        DRUG_ROW => canonical_drug_plan(seed),
+        _ => return 0,
+    };
+    plan.crashes.len() as u64
 }
 
 /// The deterministic slice of the fault/recovery ledger a chaos row
@@ -132,12 +149,17 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// True when every row recovered every recoverable fault and still
-    /// matched the fault-free value — what the CI chaos job asserts.
+    /// True when every row recovered every recoverable fault, fired every
+    /// crash its canonical plan schedules, and still matched the
+    /// fault-free value — what the CI chaos job asserts. A scheduled crash
+    /// that never fired left its recovery path unexercised, so a row with
+    /// too few crashes fails even though it has nothing left unrecovered.
     pub fn all_recovered(&self) -> bool {
-        self.rows
-            .iter()
-            .all(|r| r.counters.all_recovered() && r.matches_fault_free)
+        self.rows.iter().all(|r| {
+            r.counters.all_recovered()
+                && r.matches_fault_free
+                && r.counters.crashes >= scheduled_crashes(&r.exemplar, self.seed)
+        })
     }
 
     /// Human-readable rendering for the terminal.
@@ -168,7 +190,7 @@ impl ChaosReport {
             if self.all_recovered() {
                 "all recoverable faults recovered; values exact"
             } else {
-                "UNRECOVERED FAULTS (or inexact values)"
+                "UNRECOVERED FAULTS, MISSED CRASHES OR INEXACT VALUES"
             }
         ));
         out
@@ -199,7 +221,7 @@ pub fn module_b_chaos_study(seed: u64, scale: Scale) -> ChaosReport {
     let fire_run = forestfire::run_mpc_recoverable(&fire_config, CHAOS_NP, &fire_ctx);
     let fire_ok = fire_run.value == forestfire::run_seq(&fire_config);
     rows.push(ChaosStudyRow {
-        exemplar: "forest fire (Monte-Carlo sweep)".into(),
+        exemplar: FIRE_ROW.into(),
         status: fire_run.status().into(),
         matches_fault_free: fire_ok,
         attempts: fire_run.attempts,
@@ -216,7 +238,7 @@ pub fn module_b_chaos_study(seed: u64, scale: Scale) -> ChaosReport {
     let drug_run = drugdesign::run_mpc_recoverable(&drug_config, CHAOS_NP, &drug_ctx);
     let drug_ok = drug_run.value == drugdesign::run_seq(&drug_config);
     rows.push(ChaosStudyRow {
-        exemplar: "drug design (master-worker)".into(),
+        exemplar: DRUG_ROW.into(),
         status: drug_run.status().into(),
         matches_fault_free: drug_ok,
         attempts: drug_run.attempts,
@@ -248,6 +270,50 @@ mod tests {
             assert_eq!(r.survivors, CHAOS_NP - 1, "one scheduled crash");
             assert!(r.counters.crashes >= 1);
         }
+    }
+
+    #[test]
+    fn a_scheduled_crash_that_never_fired_fails_the_verdict() {
+        // The drug row a run writes when its crash never fires: nothing
+        // injected, so nothing left unrecovered, and the value is exact.
+        let missed = ChaosStudyRow {
+            exemplar: DRUG_ROW.into(),
+            status: "degraded".into(),
+            matches_fault_free: true,
+            attempts: 1,
+            survivors: CHAOS_NP,
+            world_size: CHAOS_NP,
+            counters: ChaosCounters {
+                drops: 0,
+                partition_drops: 0,
+                crashes: 0,
+                drops_recovered: 0,
+                crashes_recovered: 0,
+                recoverable_injected: 0,
+                recovered: 0,
+                checkpoints_saved: 24,
+                checkpoints_restored: 0,
+                shrinks: 4,
+            },
+        };
+        assert!(missed.counters.all_recovered());
+        let report = |row: ChaosStudyRow| ChaosReport {
+            seed: 2020,
+            world_size: CHAOS_NP,
+            rows: vec![row],
+        };
+        let bad = report(missed.clone());
+        assert!(!bad.all_recovered(), "{}", bad.render());
+        assert!(bad.render().contains("MISSED CRASHES"));
+        // The same row once its crash fired and was recovered passes.
+        let mut fired = missed;
+        fired.survivors = CHAOS_NP - 1;
+        fired.counters.crashes = 1;
+        fired.counters.crashes_recovered = 1;
+        fired.counters.recoverable_injected = 1;
+        fired.counters.recovered = 1;
+        fired.counters.shrinks = 3;
+        assert!(report(fired).all_recovered());
     }
 
     #[test]

@@ -10,16 +10,21 @@
 //! scheduling** (shared memory) and **master-worker dealing** (message
 //! passing).
 //!
-//! The master-worker deal ([`run_mpc`]) is pipelined: each result a
-//! worker returns doubles as its request for the next task, and every
-//! worker holds two tasks at a time. A ligand costs about as much to
-//! score as a message round trip, so a worker that asked and then waited
-//! for each task would spend about half its time waiting; with the next
-//! task already queued, it only scores. The recoverable run
-//! ([`run_mpc_recoverable`]) keeps the plain ready-task-result handshake,
-//! which its retransmission and reassignment logic is built on.
+//! Both message-passing runs share one master-worker deal: rank 0 hands
+//! out ligand indices, and each result a worker returns doubles as its
+//! request for the next task. Fault-free ([`run_mpc`]), every worker
+//! holds two tasks at a time: a ligand costs about as much to score as a
+//! message round trip, so with the next task already queued a worker
+//! only scores. Under a fault plan ([`run_mpc_recoverable`]) the same
+//! loop sends reliably, checkpoints each score and deals a dead worker's
+//! tasks to the survivors, one task per worker: a reliable send blocks
+//! until its receiver matches it, so with two the master could block
+//! dealing a worker its second task while that worker blocks returning
+//! its first result. The master also holds back queued tasks until every
+//! doomed worker has been dealt the task its crash point names, so each
+//! scheduled crash fires whatever the schedule.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,8 +32,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pdc_chaos::ChaosContext;
-use pdc_mpc::{Comm, MpcError, Source, TagSel, World};
+use pdc_chaos::{ChaosContext, CheckpointStore};
+use pdc_mpc::{Comm, MpcError, Source, World};
 use pdc_shmem::{parallel_for, Schedule, Team};
 
 use crate::recovery::RecoveredRun;
@@ -36,9 +41,8 @@ use crate::recovery::RecoveredRun;
 /// Alphabet the generator draws from (as in the CSinParallel original).
 const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
 
-/// Master-worker tags: a worker's `Ready` (recoverable run only), the
-/// master's task index (`-1` dismisses), a worker's result.
-const TAG_READY: i32 = 0;
+/// Master-worker tags: the master's task index (`-1` dismisses) and a
+/// worker's `(index, score)` result.
 const TAG_TASK: i32 = 1;
 const TAG_RESULT: i32 = 2;
 
@@ -195,145 +199,80 @@ mod parking_lot_free {
     }
 }
 
-/// Tasks each worker of [`run_mpc`] holds at once: one it is scoring and
-/// one waiting in its mailbox, so the round trip that returns a result
-/// and fetches the next task overlaps the next score. On a 2-vCPU host,
-/// depths 4 and 8 measured no faster than 2, and a deeper queue deals
-/// the tail of the population less evenly.
+/// Tasks each worker holds at once in a fault-free deal: one it is
+/// scoring and one waiting in its mailbox, so the round trip that returns
+/// a result and fetches the next task overlaps the next score. On a
+/// 2-vCPU host, depths 4 and 8 measured no faster than 2, and a deeper
+/// queue deals the tail of the population less evenly. A faulted deal
+/// holds one task per worker (see the module docs).
 const DEPTH: usize = 2;
 
+/// How long the master of a faulted deal waits for a result before it
+/// looks for dead workers again: an `ANY_SOURCE` receive does not fail
+/// when a peer dies, since another peer may yet send.
+const POLL: Duration = Duration::from_millis(100);
+
 /// Message-passing version: the master-worker pattern, pipelined. Rank 0
-/// primes every worker with up to [`DEPTH`] ligand indices; each
+/// primes every worker with up to `DEPTH` (two) ligand indices; each
 /// `(index, score)` result a worker returns doubles as its request for
 /// more, which the master answers with the next undealt index. The deal
 /// stays dynamic (a fast worker asks more often) but a worker never waits
 /// a round trip for work: while it scores one ligand, the next is
 /// already in its mailbox. That is two messages per ligand. Once every
 /// score is in, the master dismisses each worker with `-1`, assembles the
-/// result and broadcasts it.
+/// result and broadcasts it. [`run_mpc_recoverable`] runs the same deal
+/// under a fault plan.
 pub fn run_mpc(config: &DrugConfig, np: usize) -> DrugResult {
     assert!(np >= 1);
     if np == 1 {
         return run_seq(config);
     }
     let ligands = make_ligands(config);
-    let results = World::new(np).run(|comm| {
-        if comm.rank() == 0 {
-            let n = ligands.len();
-            let mut scores = vec![0usize; n];
-            let mut next = 0usize;
-            // Prime round by round, so every worker starts at once.
-            for _ in 0..DEPTH {
-                for w in 1..comm.size() {
-                    if next < n {
-                        comm.send(w, TAG_TASK, &(next as i64)).unwrap();
-                        next += 1;
-                    }
-                }
-            }
-            for _ in 0..n {
-                let ((index, s), st) = comm
-                    .recv_status::<(usize, usize)>(Source::Any, TagSel::Tag(TAG_RESULT))
-                    .unwrap();
-                scores[index] = s;
-                if next < n {
-                    comm.send(st.source, TAG_TASK, &(next as i64)).unwrap();
-                    next += 1;
-                }
-            }
-            // Per-pair order is FIFO, so each dismissal lands behind the
-            // worker's last task.
-            for w in 1..comm.size() {
-                comm.send(w, TAG_TASK, &-1i64).unwrap();
-            }
-            comm.bcast(0, Some(collect_best(&ligands, &scores)))
-                .unwrap()
-        } else {
-            loop {
-                let idx: i64 = comm.recv(0, TAG_TASK).unwrap();
-                if idx < 0 {
-                    break;
-                }
-                let i = idx as usize;
-                let s = score(&ligands[i], &config.protein);
-                comm.send(0, TAG_RESULT, &(i, s)).unwrap();
-            }
-            comm.bcast::<DrugResult>(0, None).unwrap()
-        }
-    });
-    results.into_iter().next().expect("at least one rank")
+    master_result(World::new(np).run(|comm| deal(config, &ligands, &comm, None)))
 }
 
-/// Checkpoint key for ligand index `i`.
-fn drug_key(i: usize) -> String {
-    format!("drug/{i}")
-}
-
-/// Chaos-hardened master-worker run: the dealing of [`run_mpc`] rebuilt
-/// to survive the fault plan armed in `ctx`. Workers still ask for each
-/// task with a `Ready` message, the handshake its retransmission and
-/// reassignment are built on.
+/// Chaos-hardened master-worker run: the deal of [`run_mpc`] in one world
+/// launch under the fault plan armed in `ctx`.
 ///
-/// Recovery is *in-run* for worker failures: the master tracks which
-/// ligand indices are outstanding on which worker, and when a worker's
-/// crash schedule fires it reassigns the stranded tasks to the
-/// survivors (or scores them itself if no worker is left). All
-/// protocol messages ride [`Comm::send_reliable`], so dropped deals and
-/// results are retransmitted; the master deduplicates results by ligand
-/// index, since at-least-once delivery may duplicate them. Scores are
-/// checkpointed as they arrive — if the *master* dies, the driver
-/// relaunches the world and the restart resumes from the checkpoints.
-/// The finale is ULFM-style: survivors [`Comm::shrink`] past the dead
-/// ranks and the result is broadcast over the shrunken communicator.
-/// The returned value is bit-identical to [`run_seq`].
+/// Each worker holds one task at a time, and the master tracks which
+/// ligand index is outstanding on which worker. When a worker's crash
+/// point fires, the master deals its stranded task to a survivor, or
+/// scores the rest itself if no worker is left. Every message rides
+/// [`Comm::send_reliable`], so dropped deals and results are
+/// retransmitted; the master deduplicates results by ligand index, since
+/// at-least-once delivery may repeat them, and checkpoints each new score
+/// (a run under a context that already holds scores resumes from them).
+///
+/// A crash point `(rank, step)` fires on the `step`-th (0-based) task
+/// that worker receives. The master counts the tasks it deals each
+/// worker and holds back queued tasks until every doomed worker has been
+/// dealt the one its crash point names, so each crash fires whatever the
+/// schedule (given enough ligands to reach every step) and the fault
+/// history depends only on the plan. The master takes no steps, so a
+/// crash point on rank 0 never fires. The finale is ULFM-style: survivors
+/// [`Comm::shrink`] past the dead ranks and the result is broadcast over
+/// the shrunken communicator. The returned value is bit-identical to
+/// [`run_seq`].
 pub fn run_mpc_recoverable(
     config: &DrugConfig,
     np: usize,
     ctx: &ChaosContext,
 ) -> RecoveredRun<DrugResult> {
     assert!(np >= 1);
-    if np == 1 {
-        let value = run_seq(config);
-        let stats = ctx.stats();
-        return RecoveredRun {
-            value,
-            degraded: stats.any_injected(),
-            attempts: 1,
-            survivors: 1,
-            world_size: 1,
-        };
-    }
-    let ligands = make_ligands(config);
-    let log = ctx.injector.log();
-    // One restart per scheduled crash, plus one slack attempt.
-    let max_attempts = ctx.plan().crashes.len() as u32 + 2;
-    let mut attempts = 0u32;
-    let mut value: Option<DrugResult> = None;
-    while attempts < max_attempts && value.is_none() {
-        attempts += 1;
-        let outs = World::new(np)
-            .with_fault_injector(Arc::clone(&ctx.injector))
-            .with_retry_policy(ctx.retry)
-            .run(|comm| drug_attempt(config, &ligands, ctx, &comm));
-        value = outs.into_iter().flatten().next();
-    }
-    // Ultimate fallback: finish sequentially from the checkpoints. The
-    // result is still exact — checkpointed scores are reused, missing
-    // ones recomputed.
-    let value = value.unwrap_or_else(|| {
-        let scores: Vec<usize> = ligands
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                ctx.checkpoints
-                    .peek::<usize>(&drug_key(i))
-                    .unwrap_or_else(|| score(l, &config.protein))
-            })
-            .collect();
-        collect_best(&ligands, &scores)
-    });
+    let value = if np == 1 {
+        run_seq(config)
+    } else {
+        let ligands = make_ligands(config);
+        master_result(
+            World::new(np)
+                .with_fault_injector(Arc::clone(&ctx.injector))
+                .with_retry_policy(ctx.retry)
+                .run(|comm| deal(config, &ligands, &comm, Some(&ctx.checkpoints))),
+        )
+    };
     // The run completed despite every crash that fired: mark them
     // recovered so the ledger reconciles (recovered == recoverable).
+    let log = ctx.injector.log();
     let s = log.stats();
     for _ in s.crashes_recovered..s.crashes {
         log.crash_recovered();
@@ -342,175 +281,202 @@ pub fn run_mpc_recoverable(
     RecoveredRun {
         value,
         degraded: stats.any_injected(),
-        attempts,
+        attempts: 1,
         survivors: np.saturating_sub(stats.crashes as usize),
         world_size: np,
     }
 }
 
-/// One world launch of the recoverable master-worker run. The master
-/// always produces `Some(result)` once every ligand is scored; workers
-/// return what the shrunken broadcast hands them, or `None` if they
-/// crashed or lost the master.
-fn drug_attempt(
+/// Rank 0's value from a world that ran [`deal`]. The master takes no
+/// crash steps, so it always finishes.
+fn master_result(outs: Vec<Option<DrugResult>>) -> DrugResult {
+    outs.into_iter()
+        .next()
+        .flatten()
+        .expect("the master finishes every deal")
+}
+
+/// Checkpoint key for ligand index `i`.
+fn drug_key(i: usize) -> String {
+    format!("drug/{i}")
+}
+
+/// The master-worker deal both message-passing runs share. Rank 0 deals
+/// ligand indices on `TAG_TASK`, each worker answers every task with an
+/// `(index, score)` on `TAG_RESULT` that also asks for the next, and `-1`
+/// dismisses a worker. Every rank that finishes returns the broadcast
+/// result; a worker that crashed or lost the master returns `None`.
+///
+/// Whether the world has a fault injector decides the rest. Without one,
+/// sends are plain, receives block, each worker holds [`DEPTH`] tasks and
+/// nothing is checkpointed (`store` is `None`). With one, sends are
+/// reliable, each worker holds one task, the master polls for results,
+/// requeues the tasks of dead workers and checkpoints each new score into
+/// `store`, and the survivors shrink before the broadcast.
+fn deal(
     config: &DrugConfig,
     ligands: &[String],
-    ctx: &ChaosContext,
     comm: &Comm,
+    store: Option<&CheckpointStore>,
 ) -> Option<DrugResult> {
-    let store = &ctx.checkpoints;
-    let n = ligands.len();
-    if comm.rank() == 0 {
-        // Resume from whatever earlier attempts checkpointed (`load`
-        // counts the skipped work as restored).
-        let mut scores: Vec<Option<usize>> =
-            (0..n).map(|i| store.load::<usize>(&drug_key(i))).collect();
-        let mut pending: VecDeque<usize> = (0..n).filter(|&i| scores[i].is_none()).collect();
-        let mut outstanding: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut idle: VecDeque<usize> = VecDeque::new();
-        while scores.iter().any(Option::is_none) {
-            // Reassign tasks stranded on dead workers.
-            for w in 1..comm.size() {
-                if !comm.is_alive(w) {
-                    idle.retain(|&x| x != w);
-                    for i in outstanding.remove(&w).unwrap_or_default() {
-                        if scores[i].is_none() && !pending.contains(&i) {
-                            pending.push_front(i);
-                        }
-                    }
+    let injector = comm.fault_injector();
+    let faulted = injector.is_some();
+    if comm.rank() != 0 {
+        loop {
+            // A receive from rank 0 fails if the master dies, so a worker
+            // never polls.
+            let task: i64 = comm.recv(0, TAG_TASK).ok()?;
+            if task < 0 {
+                break;
+            }
+            comm.chaos_step().ok()?; // this worker's crash point: unwind
+            let i = task as usize;
+            let result = (i, score(&ligands[i], &config.protein));
+            post(comm, faulted, 0, TAG_RESULT, &result).ok()?;
+        }
+        return finish(comm, faulted, None);
+    }
+    let size = comm.size();
+    let depth = if faulted { 1 } else { DEPTH };
+    let alive = |w: usize| !faulted || comm.is_alive(w);
+    // Resume from whatever the store holds (`load` counts it restored).
+    let mut scores: Vec<Option<usize>> = (0..ligands.len())
+        .map(|i| store.and_then(|s| s.load(&drug_key(i))))
+        .collect();
+    let mut queue: VecDeque<usize> = (0..ligands.len())
+        .filter(|&i| scores[i].is_none())
+        .collect();
+    let mut missing = queue.len();
+    // The step of each worker's first crash point this deal can reach.
+    let dies_at: Vec<Option<u64>> = (0..size)
+        .map(|w| {
+            let crashes = &injector.as_ref()?.plan().crashes;
+            crashes
+                .iter()
+                .filter(|c| c.rank == w && c.step < missing as u64)
+                .map(|c| c.step)
+                .min()
+        })
+        .collect();
+    // Per worker: the tasks it holds unanswered, and how many it was dealt.
+    let mut held: Vec<Vec<usize>> = vec![Vec::new(); size];
+    let mut dealt = vec![0u64; size];
+    while missing > 0 {
+        // A dead worker's tasks go back on the queue.
+        for (w, tasks) in held.iter_mut().enumerate() {
+            if !alive(w) {
+                for i in tasks.drain(..) {
+                    queue.push_front(i);
                 }
             }
-            // Deal work to idle workers.
-            while !pending.is_empty() && !idle.is_empty() {
-                let w = idle.pop_front().expect("checked non-empty");
-                if !comm.is_alive(w) {
+        }
+        // Top every live worker up to `depth`, round by round so that all
+        // start at once. Queued tasks a doomed worker still needs to reach
+        // its crash point go to no other worker.
+        for _ in 0..depth {
+            for w in 1..size {
+                let owed = |v: usize| match dies_at[v] {
+                    Some(step) if alive(v) => (step + 1).saturating_sub(dealt[v]),
+                    _ => 0,
+                };
+                let reserved: u64 = (1..size).map(owed).sum();
+                let held_back = owed(w) == 0 && queue.len() as u64 <= reserved;
+                if held[w].len() >= depth || !alive(w) || held_back {
                     continue;
                 }
-                let i = pending.pop_front().expect("checked non-empty");
-                match comm.send_reliable(w, TAG_TASK, &(i as i64)) {
-                    Ok(()) => outstanding.entry(w).or_default().push(i),
-                    Err(_) => pending.push_front(i), // next sweep reassigns
-                }
-            }
-            // Every worker dead? Score the remainder inline: the study
-            // still completes, just without parallel help.
-            if (1..comm.size()).all(|w| !comm.is_alive(w)) {
-                for i in 0..n {
-                    if scores[i].is_none() {
-                        let s = score(&ligands[i], &config.protein);
-                        store.save(&drug_key(i), &s);
-                        scores[i] = Some(s);
-                    }
-                }
-                break;
-            }
-            match comm.recv_timeout::<WorkerMsg>(
-                Source::Any,
-                TagSel::Any,
-                Duration::from_millis(100),
-            ) {
-                Ok((WorkerMsg::Ready, st)) => {
-                    if !idle.contains(&st.source) {
-                        idle.push_back(st.source);
-                    }
-                }
-                Ok((WorkerMsg::Result { index, score: s }, st)) => {
-                    if let Some(mine) = outstanding.get_mut(&st.source) {
-                        mine.retain(|&x| x != index);
-                    }
-                    // Dedup by index: at-least-once delivery may repeat.
-                    if index < n && scores[index].is_none() {
-                        store.save(&drug_key(index), &s);
-                        scores[index] = Some(s);
-                    }
-                }
-                Err(_) => {} // timeout: loop re-checks liveness
-            }
-        }
-        // Dismiss every surviving worker. Workers re-send Ready while
-        // undealt, so each one surfaces here within its poll interval.
-        let mut dismissed: HashSet<usize> = HashSet::new();
-        let mut patience = 0u32;
-        loop {
-            let all_dismissed = (1..comm.size())
-                .filter(|&w| comm.is_alive(w))
-                .all(|w| dismissed.contains(&w));
-            if all_dismissed {
-                break;
-            }
-            match comm.recv_timeout::<WorkerMsg>(
-                Source::Any,
-                TagSel::Tag(TAG_READY),
-                Duration::from_millis(500),
-            ) {
-                Ok((_, st)) => {
-                    if dismissed.insert(st.source) {
-                        let _ = comm.send_reliable(st.source, TAG_TASK, &-1i64);
-                    }
-                }
-                Err(_) => {
-                    patience += 1;
-                    if patience > 40 {
-                        break; // ~20 s of silence: give up waiting
-                    }
+                let Some(i) = queue.pop_front() else { break };
+                if post(comm, faulted, w, TAG_TASK, &(i as i64)).is_ok() {
+                    held[w].push(i);
+                    dealt[w] += 1;
+                } else {
+                    queue.push_front(i); // the worker died: requeue
                 }
             }
         }
-        let scores: Vec<usize> = scores.iter().map(|s| s.expect("all scored")).collect();
-        let result = collect_best(ligands, &scores);
-        // ULFM finale: continue degraded on the shrunken communicator.
-        if let Ok(alive) = comm.shrink() {
-            let _ = alive.bcast(0, Some(result.clone()));
-        }
-        Some(result)
-    } else {
-        loop {
-            if comm.send_reliable(0, TAG_READY, &WorkerMsg::Ready).is_err() {
-                return None; // master gone: the driver restarts
+        // Nothing is in flight after the top-up, so no worker is left to
+        // deal to: score the rest here. The study still completes, just
+        // without parallel help.
+        if held.iter().all(Vec::is_empty) {
+            while let Some(i) = queue.pop_front() {
+                bank(&mut scores, store, i, score(&ligands[i], &config.protein));
             }
-            match comm.recv_timeout::<i64>(0, TAG_TASK, Duration::from_millis(500)) {
-                Ok((idx, _)) if idx < 0 => break,
-                Ok((idx, _)) => {
-                    if comm.chaos_step().is_err() {
-                        return None; // crash schedule fired: unwind
-                    }
-                    let i = idx as usize;
-                    let s = score(&ligands[i], &config.protein);
-                    if comm
-                        .send_reliable(0, TAG_RESULT, &WorkerMsg::Result { index: i, score: s })
-                        .is_err()
-                    {
-                        return None;
-                    }
-                }
-                // A dropped deal: announce readiness again and keep
-                // polling — the master deduplicates extra Readys.
-                Err(MpcError::Timeout { .. }) => continue,
-                Err(_) => return None,
-            }
+            break;
         }
-        comm.shrink().ok()?.bcast::<DrugResult>(0, None).ok()
+        let got = if faulted {
+            comm.recv_timeout::<(usize, usize)>(Source::Any, TAG_RESULT, POLL)
+        } else {
+            comm.recv_status::<(usize, usize)>(Source::Any, TAG_RESULT)
+        };
+        let ((i, s), st) = match got {
+            Ok(got) => got,
+            Err(_) if faulted => continue, // look for dead workers again
+            Err(e) => panic!("drug-design deal: {e}"),
+        };
+        // Only a result for a task the worker holds earns it another.
+        if let Some(pos) = held[st.source].iter().position(|&x| x == i) {
+            held[st.source].remove(pos);
+        }
+        missing -= bank(&mut scores, store, i, s) as usize;
+    }
+    // Per-pair order is FIFO, so each dismissal lands behind the
+    // worker's last task.
+    for w in (1..size).filter(|&w| alive(w)) {
+        let _ = post(comm, faulted, w, TAG_TASK, &-1i64);
+    }
+    let scores: Vec<usize> = scores
+        .into_iter()
+        .map(|s| s.expect("every ligand scored"))
+        .collect();
+    finish(comm, faulted, Some(collect_best(ligands, &scores)))
+}
+
+/// Keep the first score that arrives for ligand `i` (at-least-once
+/// delivery may repeat a result), checkpointed if the deal keeps
+/// checkpoints. True when it was new.
+fn bank(scores: &mut [Option<usize>], store: Option<&CheckpointStore>, i: usize, s: usize) -> bool {
+    match scores.get_mut(i) {
+        Some(slot @ None) => {
+            if let Some(store) = store {
+                store.save(&drug_key(i), &s);
+            }
+            *slot = Some(s);
+            true
+        }
+        _ => false,
     }
 }
 
-/// Worker-to-master messages of the recoverable run.
-#[derive(Debug, Serialize, Deserialize)]
-enum WorkerMsg {
-    /// "Give me work."
-    Ready,
-    /// A completed scoring task.
-    Result {
-        /// Ligand index.
-        index: usize,
-        /// Its score.
-        score: usize,
-    },
+/// Send one deal message, reliably (at least once) in a faulted deal.
+fn post<T: Serialize>(
+    comm: &Comm,
+    faulted: bool,
+    dest: usize,
+    tag: i32,
+    value: &T,
+) -> Result<(), MpcError> {
+    if faulted {
+        comm.send_reliable(dest, tag, value)
+    } else {
+        comm.send(dest, tag, value)
+    }
+}
+
+/// Broadcast rank 0's result. A faulted deal first shrinks past the dead
+/// ranks, ULFM-style.
+fn finish(comm: &Comm, faulted: bool, result: Option<DrugResult>) -> Option<DrugResult> {
+    if faulted {
+        comm.shrink().ok()?.bcast(0, result).ok()
+    } else {
+        comm.bcast(0, result).ok()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdc_chaos::FaultPlan;
     use pdc_mpc::analysis::{record_into, CommLog, OpKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
@@ -622,46 +588,58 @@ mod tests {
             ..DrugConfig::default()
         };
         for np in [2, 3, 5] {
-            let log = CommLog::new();
-            let c = config.clone();
-            let l2 = log.clone();
-            watchdog(format!("run_mpc(np={np})"), move || {
-                record_into(&l2, || run_mpc(&c, np))
-            });
-            let runs = log.take();
-            assert_eq!(runs.len(), 1, "np={np}");
-            let ops = &runs[0].ops;
-            let user_sends = ops
-                .iter()
-                .filter(|o| matches!(o.kind, OpKind::Send { user: true, .. }))
-                .count();
-            // A task and a result per ligand, a dismissal per worker.
-            assert_eq!(user_sends, 2 * l + (np - 1), "np={np}");
-            for w in 1..np {
-                let tasks = ops
-                    .iter()
-                    .filter(|o| {
-                        o.rank == w && matches!(o.kind, OpKind::RecvDone { tag: TAG_TASK, .. })
+            // The recoverable run under an empty plan deals the same messages.
+            for recoverable in [false, true] {
+                let what = format!("np={np} recoverable={recoverable}");
+                let log = CommLog::new();
+                let c = config.clone();
+                let l2 = log.clone();
+                watchdog(what.clone(), move || {
+                    record_into(&l2, || {
+                        if recoverable {
+                            let ctx = ChaosContext::new(FaultPlan::new(5));
+                            run_mpc_recoverable(&c, np, &ctx).value
+                        } else {
+                            run_mpc(&c, np)
+                        }
                     })
-                    .count();
-                let results = ops
+                });
+                let runs = log.take();
+                assert_eq!(runs.len(), 1, "{what}");
+                let ops = &runs[0].ops;
+                let user_sends = ops
                     .iter()
-                    .filter(|o| {
-                        o.rank == w
-                            && matches!(
-                                o.kind,
-                                OpKind::Send {
-                                    tag: TAG_RESULT,
-                                    ..
-                                }
-                            )
-                    })
+                    .filter(|o| matches!(o.kind, OpKind::Send { user: true, .. }))
                     .count();
-                assert_eq!(
-                    results + 1,
-                    tasks,
-                    "np={np} worker {w}: one result per task"
+                // A task and a result per ligand, a dismissal per worker.
+                assert_eq!(user_sends, 2 * l + (np - 1), "{what}");
+                assert!(
+                    !ops.iter()
+                        .any(|o| matches!(o.kind, OpKind::Send { tag: 0, .. })),
+                    "{what}: a message on the retired ready tag"
                 );
+                for w in 1..np {
+                    let tasks = ops
+                        .iter()
+                        .filter(|o| {
+                            o.rank == w && matches!(o.kind, OpKind::RecvDone { tag: TAG_TASK, .. })
+                        })
+                        .count();
+                    let results = ops
+                        .iter()
+                        .filter(|o| {
+                            o.rank == w
+                                && matches!(
+                                    o.kind,
+                                    OpKind::Send {
+                                        tag: TAG_RESULT,
+                                        ..
+                                    }
+                                )
+                        })
+                        .count();
+                    assert_eq!(results + 1, tasks, "{what} worker {w}: one result per task");
+                }
             }
         }
     }
@@ -677,14 +655,27 @@ mod tests {
         assert_eq!(run_mpc(&config, 3), r);
     }
 
+    /// Run `run_mpc_recoverable` under `plan` on the watchdog; returns the
+    /// run and its context, for the ledger.
+    fn recover(
+        config: &DrugConfig,
+        np: usize,
+        plan: FaultPlan,
+    ) -> (RecoveredRun<DrugResult>, ChaosContext) {
+        let ctx = ChaosContext::new(plan);
+        let (c, x) = (config.clone(), ctx.clone());
+        let what = format!("run_mpc_recoverable(np={np}, {:?})", ctx.plan());
+        let run = watchdog(what, move || run_mpc_recoverable(&c, np, &x));
+        (run, ctx)
+    }
+
     #[test]
     fn recoverable_matches_seq_without_faults() {
         let config = DrugConfig {
             num_ligands: 30,
             ..DrugConfig::default()
         };
-        let ctx = ChaosContext::new(pdc_chaos::FaultPlan::new(5));
-        let run = run_mpc_recoverable(&config, 3, &ctx);
+        let (run, _) = recover(&config, 3, FaultPlan::new(5));
         assert_eq!(run.value, run_seq(&config));
         assert!(!run.degraded);
         assert_eq!(run.attempts, 1);
@@ -697,12 +688,9 @@ mod tests {
             num_ligands: 40,
             ..DrugConfig::default()
         };
-        // Rank 2 dies after its third scored task; rank 1 runs slow.
-        let plan = pdc_chaos::FaultPlan::new(77)
-            .with_crash(2, 2)
-            .with_straggler(1, 1);
-        let ctx = ChaosContext::new(plan);
-        let run = run_mpc_recoverable(&config, 4, &ctx);
+        // Rank 2 dies on its third task; rank 1 runs slow.
+        let plan = FaultPlan::new(77).with_crash(2, 2).with_straggler(1, 1);
+        let (run, ctx) = recover(&config, 4, plan);
         assert_eq!(run.value, run_seq(&config), "recovery must be exact");
         assert!(run.degraded);
         assert_eq!(run.attempts, 1, "worker crash is recovered in-run");
@@ -719,11 +707,62 @@ mod tests {
             num_ligands: 25,
             ..DrugConfig::default()
         };
-        let plan = pdc_chaos::FaultPlan::new(13).with_drop_rate(0.3);
-        let ctx = ChaosContext::new(plan);
-        let run = run_mpc_recoverable(&config, 3, &ctx);
+        let (run, ctx) = recover(&config, 3, FaultPlan::new(13).with_drop_rate(0.3));
         assert_eq!(run.value, run_seq(&config));
         let s = ctx.stats();
         assert!(s.all_recovered(), "{s:?}");
+    }
+
+    /// A thread that spins until dropped, so the rank threads beside it
+    /// are preempted at arbitrary points.
+    struct Spinner {
+        stop: Arc<AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Spinner {
+        fn start() -> Self {
+            let stop = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                while !flag.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+            Spinner {
+                stop,
+                thread: Some(thread),
+            }
+        }
+    }
+
+    impl Drop for Spinner {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Relaxed);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    #[test]
+    fn recoverable_crash_fires_under_any_schedule() {
+        // The chaos study's plan and world: rank 2 dies on its third task,
+        // whichever worker wins each deal. With 3–5 ligands it only gets a
+        // third task if the master holds tasks back for it; 24 is the
+        // study's population.
+        let _spinner = Spinner::start();
+        for seed in 0..20 {
+            let config = DrugConfig {
+                num_ligands: [3, 4, 5, 24][seed as usize % 4],
+                ..DrugConfig::default()
+            };
+            let plan = FaultPlan::new(seed).with_crash(2, 2).with_straggler(1, 1);
+            let (run, ctx) = recover(&config, 4, plan);
+            let what = format!("run {seed}, {} ligands", config.num_ligands);
+            assert_eq!(ctx.stats().crashes, 1, "{what}: the crash fired");
+            assert_eq!(run.survivors, 3, "{what}");
+            assert_eq!(run.value, run_seq(&config), "{what}");
+        }
     }
 }

@@ -54,9 +54,10 @@ fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
 // The message shapes the workspace sends, and one type per derive shape.
 // ---------------------------------------------------------------------
 
-/// The drug-design master-worker protocol's shape.
+/// An enum with a unit and a struct variant: a request-reply protocol's
+/// shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum WorkerMsg {
+enum TaskMsg {
     Ready,
     Result { index: usize, score: usize },
 }
@@ -185,7 +186,7 @@ fn decodes_totally<T: DeserializeOwned>(bytes: &[u8]) -> Result<(), TestCaseErro
 }
 
 fn decodes_as_every_shape(bytes: &[u8]) -> Result<(), TestCaseError> {
-    decodes_totally::<WorkerMsg>(bytes)?;
+    decodes_totally::<TaskMsg>(bytes)?;
     decodes_totally::<DrugResult>(bytes)?;
     decodes_totally::<(usize, Vec<f64>)>(bytes)?;
     decodes_totally::<Vec<String>>(bytes)?;
@@ -198,8 +199,8 @@ fn decodes_as_every_shape(bytes: &[u8]) -> Result<(), TestCaseError> {
 /// Valid encodings of the workspace's message shapes, to mutate.
 fn valid_messages(seed: u64) -> Vec<Vec<u8>> {
     vec![
-        to_vec(&WorkerMsg::Ready),
-        to_vec(&WorkerMsg::Result {
+        to_vec(&TaskMsg::Ready),
+        to_vec(&TaskMsg::Result {
             index: seed as usize,
             score: 3,
         }),
@@ -224,8 +225,8 @@ proptest! {
         floats in prop::collection::vec(any::<f64>(), 0..5),
     ) {
         round_trips(&envelope(seeds.clone(), floats.clone()))?;
-        round_trips(&WorkerMsg::Result { index: seeds.len(), score: floats.len() })?;
-        round_trips(&WorkerMsg::Ready)?;
+        round_trips(&TaskMsg::Result { index: seeds.len(), score: floats.len() })?;
+        round_trips(&TaskMsg::Ready)?;
         round_trips(&DrugResult { max_score: seeds.len(), best_ligands: seeds.iter().map(|&s| word(s)).collect() })?;
         round_trips(&Unit)?;
         round_trips(&Newtype(seeds.first().copied().unwrap_or(0) as i64))?;
@@ -267,15 +268,15 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..48),
     ) {
         let payload = Bytes::from(bytes.clone());
-        let direct = from_slice::<WorkerMsg>(&bytes).map_err(|_| ());
+        let direct = from_slice::<TaskMsg>(&bytes).map_err(|_| ());
         let out = World::new(2).run(|c| {
             if c.rank() == 0 {
                 c.send_bytes(1, 0, payload.clone()).unwrap();
                 c.send_bytes(1, 1, payload.clone()).unwrap();
                 None
             } else {
-                let blocking = c.recv::<WorkerMsg>(0, 0);
-                Some((blocking, poll::<WorkerMsg>(&c, 1)))
+                let blocking = c.recv::<TaskMsg>(0, 0);
+                Some((blocking, poll::<TaskMsg>(&c, 1)))
             }
         });
         let (blocking, polled) = out[1].clone().unwrap();
@@ -406,16 +407,16 @@ fn status_len_counts_the_binary_payload() {
     let lens = World::new(2).run(|c| {
         if c.rank() == 0 {
             c.send(1, 0, &7u64).unwrap();
-            c.send(1, 0, &WorkerMsg::Ready).unwrap();
-            c.send(1, 0, &WorkerMsg::Result { index: 3, score: 2 })
+            c.send(1, 0, &TaskMsg::Ready).unwrap();
+            c.send(1, 0, &TaskMsg::Result { index: 3, score: 2 })
                 .unwrap();
             c.send(1, 0, &"hello").unwrap();
             c.send(1, 0, &vec![0.5f64; 4]).unwrap();
             Vec::new()
         } else {
             let mut lens = vec![c.recv_status::<u64>(0, 0).unwrap().1.len];
-            lens.push(c.recv_status::<WorkerMsg>(0, 0).unwrap().1.len);
-            lens.push(c.recv_status::<WorkerMsg>(0, 0).unwrap().1.len);
+            lens.push(c.recv_status::<TaskMsg>(0, 0).unwrap().1.len);
+            lens.push(c.recv_status::<TaskMsg>(0, 0).unwrap().1.len);
             lens.push(c.recv_status::<String>(0, 0).unwrap().1.len);
             lens.push(c.recv_status::<Vec<f64>>(0, 0).unwrap().1.len);
             lens
