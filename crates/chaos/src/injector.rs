@@ -95,8 +95,8 @@ impl FaultLog {
             pdc_trace::counter("chaos", "drops_recovered", n as i64);
         }
     }
-    /// Record that an injected crash was recovered (restart or shrink
-    /// completed the workload regardless).
+    /// Record that an injected crash was recovered (survivors took over
+    /// the dead rank's work and completed the workload regardless).
     pub fn crash_recovered(&self) {
         bump!(self, crashes_recovered, "crashes_recovered");
     }
@@ -108,7 +108,7 @@ impl FaultLog {
     pub fn checkpoint_saved(&self) {
         bump!(self, checkpoints_saved, "checkpoints_saved");
     }
-    /// Record a checkpoint hit (work skipped on restart/reassignment).
+    /// Record a checkpoint hit (a survivor restored a dead rank's work).
     pub fn checkpoint_restored(&self) {
         bump!(self, checkpoints_restored, "checkpoints_restored");
     }
@@ -228,8 +228,8 @@ impl FaultStats {
 const STREAM_FAULT: u64 = 0x464C54; // "FLT"
 const STREAM_PAIR: u64 = 0x505253; // "PRS"
 
-/// The live injector one `World` run (or a restart sequence over the
-/// same plan) consults at its communication chokepoint.
+/// The live injector one `World` run consults at its communication
+/// chokepoint.
 ///
 /// Decisions are **counter-based**: the nth user message on a given
 /// (src, dst) channel always receives the same verdict for a given
@@ -238,8 +238,8 @@ const STREAM_PAIR: u64 = 0x505253; // "PRS"
 /// bit-identical fault history on every run.
 ///
 /// Crash schedule entries are **consumed**: after a rank has crashed at
-/// its step once, a restart of the same injector does not re-fire it —
-/// which is precisely what lets checkpoint/restart make progress.
+/// its step once, a later run under the same injector does not re-fire
+/// it.
 pub struct FaultInjector {
     plan: FaultPlan,
     log: Arc<FaultLog>,

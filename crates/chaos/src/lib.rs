@@ -15,8 +15,8 @@
 //! - [`FaultLog`] / [`FaultStats`] — the fault/recovery ledger. Every
 //!   increment is mirrored to `pdc-trace` as a `chaos/...` counter so
 //!   trace summaries reconcile with the ledger exactly.
-//! - [`CheckpointStore`] — in-memory checkpoint/restart support for
-//!   long-running exemplars.
+//! - [`CheckpointStore`] — keyed checkpoints, in memory or on disk,
+//!   that a recovering rank restores a dead rank's work from.
 //! - [`RetryPolicy`] — capped exponential backoff with deterministic
 //!   jitter, used by `Comm::send_reliable`.
 //!
@@ -29,7 +29,7 @@ pub mod checkpoint;
 pub mod injector;
 pub mod plan;
 
-pub use checkpoint::{CheckpointStore, FileCheckpointStore};
+pub use checkpoint::CheckpointStore;
 pub use injector::{FaultInjector, FaultLog, FaultStats, SendFault};
 pub use plan::{hash01, hash_u64, splitmix64, CrashPoint, FaultPlan, Partition, Straggler};
 
@@ -98,7 +98,7 @@ impl RetryPolicy {
 pub struct ChaosContext {
     /// The armed injector for this run (holds the plan).
     pub injector: Arc<FaultInjector>,
-    /// Checkpoint store shared across restart attempts.
+    /// In-memory checkpoint store shared by every rank of the run.
     pub checkpoints: CheckpointStore,
     /// Retry schedule for reliable sends.
     pub retry: RetryPolicy,

@@ -80,7 +80,9 @@ pub struct ChaosCounters {
     pub crashes: u64,
     /// Drops recovered by reliable-send retransmission.
     pub drops_recovered: u64,
-    /// Crashes recovered by restart/reassignment.
+    /// Crashes recovered: one per dead rank whose work survivors took
+    /// over (drug design's master re-deals its tasks, forest fire's rank
+    /// 0 adopts its trials).
     pub crashes_recovered: u64,
     /// Recoverable faults injected (drops + partition drops + crashes).
     pub recoverable_injected: u64,
@@ -126,8 +128,6 @@ pub struct ChaosStudyRow {
     pub status: String,
     /// True when the recovered value equals the fault-free run's.
     pub matches_fault_free: bool,
-    /// World launches needed.
-    pub attempts: u32,
     /// Ranks alive at the end.
     pub survivors: usize,
     /// World size the run started with.
@@ -172,8 +172,8 @@ impl ChaosReport {
         );
         for r in &self.rows {
             out.push_str(&format!(
-                "  {:<34} {:<9} attempts {} survivors {}/{} exact {}\n",
-                r.exemplar, r.status, r.attempts, r.survivors, r.world_size, r.matches_fault_free
+                "  {:<34} {:<9} survivors {}/{} exact {}\n",
+                r.exemplar, r.status, r.survivors, r.world_size, r.matches_fault_free
             ));
             let c = &r.counters;
             out.push_str(&format!(
@@ -224,7 +224,6 @@ pub fn module_b_chaos_study(seed: u64, scale: Scale) -> ChaosReport {
         exemplar: FIRE_ROW.into(),
         status: fire_run.status().into(),
         matches_fault_free: fire_ok,
-        attempts: fire_run.attempts,
         survivors: fire_run.survivors,
         world_size: fire_run.world_size,
         counters: ChaosCounters::from_stats(&fire_ctx.stats()),
@@ -241,7 +240,6 @@ pub fn module_b_chaos_study(seed: u64, scale: Scale) -> ChaosReport {
         exemplar: DRUG_ROW.into(),
         status: drug_run.status().into(),
         matches_fault_free: drug_ok,
-        attempts: drug_run.attempts,
         survivors: drug_run.survivors,
         world_size: drug_run.world_size,
         counters: ChaosCounters::from_stats(&drug_ctx.stats()),
@@ -280,7 +278,6 @@ mod tests {
             exemplar: DRUG_ROW.into(),
             status: "degraded".into(),
             matches_fault_free: true,
-            attempts: 1,
             survivors: CHAOS_NP,
             world_size: CHAOS_NP,
             counters: ChaosCounters {

@@ -12,16 +12,18 @@
 //!    a pid-stamped JSONL trace. The driver merges the per-rank traces
 //!    and runs the offline `pdc-analyze` communication pass over them —
 //!    a clean suite must yield zero diagnostics.
-//! 2. **Recoverable forest fire** (injection armed): trials stride
-//!    across ranks, every result is checkpointed in a *shared*
-//!    [`FileCheckpointStore`], and the canonical plan both drops user
-//!    frames (recovered by `send_reliable` retransmission) and kills
-//!    rank 2 — really kills it, via `std::process::abort`, with no
-//!    farewell on the wire. Survivors detect the death from silence
-//!    (heartbeat timeout / redial exhaustion), shrink, adopt the dead
-//!    rank's unfinished trials (restoring the ones it checkpointed
-//!    before dying), and rank 0 assembles a series that must be
-//!    bit-identical to [`forestfire::run_seq`].
+//! 2. **Recoverable forest fire** (injection armed): every rank runs
+//!    [`forestfire::sweep_recoverable`], the same sweep the thread-mode
+//!    chaos study runs. Trials stride across ranks and every result is
+//!    checkpointed in a [`CheckpointStore`] on a directory all rank
+//!    processes share. The canonical plan drops user frames (the
+//!    workers' reports to rank 0, recovered by `send_reliable`
+//!    retransmission) and kills rank 2 — really kills it, via
+//!    `std::process::abort`, with no farewell on the wire. Rank 0
+//!    detects the death from silence (heartbeat timeout or redial
+//!    exhaustion), adopts the dead rank's unreported trials (restoring
+//!    the ones it checkpointed before dying) and assembles a series that
+//!    must be bit-identical to [`forestfire::run_seq`].
 //!
 //! The resulting [`NetReport`] (`artifacts/BENCH_net.json`) carries
 //! only scheduling-independent facts — fault verdicts are counter-based
@@ -30,13 +32,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use pdc_chaos::{FaultInjector, FaultPlan, FaultStats, FileCheckpointStore};
-use pdc_exemplars::forestfire::{self, fire_key, run_trial, FireConfig, TrialResult};
-use pdc_mpc::{Source, TagSel, Transport, World};
+use pdc_chaos::{CheckpointStore, FaultInjector, FaultPlan, FaultStats};
+use pdc_exemplars::forestfire::{self, FireConfig};
+use pdc_mpc::{MpcError, Transport, World};
 use pdc_net::{launch, FlakyTransport, LaunchSpec, NetConfig, TcpTransport};
 use pdc_patternlets::mp::netsuite;
 
@@ -50,11 +52,6 @@ pub const NET_NP: usize = 4;
 /// of the wire study (the launcher re-executes the binary with it).
 pub const WORKER_FLAG: &str = "--net-worker";
 
-/// Tag survivors report adopted trial indices on.
-const TAG_KEY: i32 = 11;
-/// Tag survivors send their recovery digest on.
-const TAG_DIGEST: i32 = 12;
-
 /// Canonical fault plan for the wire study: lossy user plane (25%
 /// drops, recovered by retransmission) plus rank 2 killed at its third
 /// compute step. No stragglers — over real sockets a straggler's delay
@@ -66,7 +63,8 @@ pub fn canonical_net_plan(seed: u64) -> FaultPlan {
 
 /// The sweep the wire study runs. 5 probabilities x 8 trials = 40
 /// trials, so with `NET_NP = 4` the killed rank 2 owns 10 of them: it
-/// checkpoints 2 before dying, and survivors adopt the other 8.
+/// checkpoints 2 before dying, and rank 0 restores those and computes
+/// the other 8.
 pub fn net_fire_config(seed: u64, scale: Scale) -> FireConfig {
     FireConfig {
         size: match scale {
@@ -168,113 +166,26 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
     // nobody can die.
     std::thread::sleep(Duration::from_millis(250));
     flaky.set_armed(true);
-    let store = FileCheckpointStore::open(dir.join("ckpt"), injector.log())
+    let store = CheckpointStore::open(dir.join("ckpt"), injector.log())
         .map_err(|e| format!("checkpoint store failed: {e}"))?;
     let config = net_fire_config(seed, scale);
-    let total = config.probabilities.len() * config.trials;
-
-    for k in (rank..total).step_by(np) {
-        if injector.compute_step(rank) {
+    let ok = match forestfire::sweep_recoverable(&config, &comm, &store) {
+        Ok(None) => true,
+        Ok(Some(series)) => {
+            let ok = series == forestfire::run_seq(&config);
+            std::fs::write(dir.join("net_result.json"), format!("{{\"matches\":{ok}}}"))
+                .map_err(|e| format!("result write failed: {e}"))?;
+            ok
+        }
+        Err(MpcError::Crashed { .. }) => {
             // The scheduled kill. Persist this rank's ledger for the
             // driver's post-mortem merge, then die without a word:
             // peers must detect the death from wire silence alone.
             write_ledger(&dir, rank, &injector);
             std::process::abort();
         }
-        store.save(&fire_key(k), &run_trial(&config, k));
-    }
-
-    // Sync point: the barrier (reliable control plane, immune to the
-    // armed drops) succeeds only in a fully-healthy world. With a rank
-    // killed it fails — PeerGone once the failure detector names the
-    // dead, Timeout if the barrier's own deadline wins the race.
-    let healthy = comm.barrier().is_ok() && !comm.any_failed();
-    let (sc, dead) = if healthy {
-        (comm.clone(), Vec::new())
-    } else {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !comm.any_failed() {
-            if Instant::now() >= deadline {
-                return Err("sync failed but no dead rank was detected".to_owned());
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let dead = comm.failed_ranks();
-        let sc = comm.shrink().map_err(|e| format!("shrink failed: {e}"))?;
-        (sc, dead)
+        Err(e) => return Err(format!("recoverable sweep failed: {e}")),
     };
-    // Survivors reach this point skewed by how they observed the death:
-    // a rank whose barrier recv named the dead peer got `PeerGone` at
-    // the ~1 s heartbeat verdict, one waiting on a live peer that had
-    // already aborted the collective rode out the full 3 s collective
-    // timeout. Realign on the shrunk communicator before any reliable
-    // sends — 2 s of skew dwarfs the 800 ms ack window, and an ack that
-    // misses its window strands retransmitted duplicates nobody matches.
-    sc.barrier()
-        .map_err(|e| format!("post-shrink barrier failed: {e}"))?;
-
-    // Adopt the dead ranks' trials, deterministically partitioned over
-    // the survivors by position. A trial the dead rank checkpointed
-    // before dying is *restored* (counted); the rest are recomputed.
-    let dead_keys: Vec<usize> = (0..total).filter(|k| dead.contains(&(k % np))).collect();
-    let mut computed = 0u64;
-    let mut restored = 0u64;
-    for (j, &k) in dead_keys.iter().enumerate() {
-        if j % sc.size() != sc.rank() {
-            continue;
-        }
-        if store.load::<TrialResult>(&fire_key(k)).is_some() {
-            restored += 1;
-        } else {
-            store.save(&fire_key(k), &run_trial(&config, k));
-            computed += 1;
-        }
-    }
-
-    // Report adoption to the root over the lossy user plane — this is
-    // the traffic the armed drop faults bite, and send_reliable's
-    // ack-based retransmission recovers.
-    let mut ok = true;
-    if sc.rank() != 0 {
-        for (j, &k) in dead_keys.iter().enumerate() {
-            if j % sc.size() == sc.rank() {
-                sc.send_reliable(0, TAG_KEY, &k)
-                    .map_err(|e| format!("key report failed: {e}"))?;
-            }
-        }
-        sc.send_reliable(0, TAG_DIGEST, &(computed, restored))
-            .map_err(|e| format!("digest failed: {e}"))?;
-    } else {
-        // Bounded receives: a survivor that errors out mid-protocol
-        // must fail this study, not hang it (and CI with it) forever.
-        let patience = Duration::from_secs(15);
-        let expect_keys = dead_keys
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| j % sc.size() != 0)
-            .count();
-        for _ in 0..expect_keys {
-            let (_k, _): (usize, _) = sc
-                .recv_timeout(Source::Any, TagSel::Tag(TAG_KEY), patience)
-                .map_err(|e| format!("key recv failed: {e}"))?;
-        }
-        for _ in 1..sc.size() {
-            let (_d, _): ((u64, u64), _) = sc
-                .recv_timeout(Source::Any, TagSel::Tag(TAG_DIGEST), patience)
-                .map_err(|e| format!("digest recv failed: {e}"))?;
-        }
-        // The sweep completed despite every kill: mark them recovered
-        // so the merged ledger reconciles.
-        for _ in &dead {
-            injector.log().crash_recovered();
-        }
-        let series = forestfire::series(&config, |k| {
-            store.peek(&fire_key(k)).expect("all trials checkpointed")
-        });
-        ok = series == forestfire::run_seq(&config);
-        std::fs::write(dir.join("net_result.json"), format!("{{\"matches\":{ok}}}"))
-            .map_err(|e| format!("result write failed: {e}"))?;
-    }
 
     write_ledger(&dir, rank, &injector);
     flaky.shutdown();
@@ -488,7 +399,7 @@ mod tests {
                 recovered: 4,
                 checkpoints_saved: 40,
                 checkpoints_restored: 2,
-                shrinks: 3,
+                shrinks: 0,
             },
             matches_fault_free: true,
             diagnostics: 0,
@@ -512,14 +423,14 @@ mod tests {
             for t in 0..config.trials {
                 let seed = forestfire::trial_seed(config.seed, pi, t);
                 assert_eq!(
-                    run_trial(&config, pi * config.trials + t),
+                    forestfire::run_trial(&config, pi * config.trials + t),
                     forestfire::simulate_fire(config.size, prob, seed),
                     "trial ({pi}, {t})"
                 );
             }
         }
         let want = forestfire::run_seq(&config);
-        let series = forestfire::series(&config, |k| run_trial(&config, k));
+        let series = forestfire::series(&config, |k| forestfire::run_trial(&config, k));
         assert_eq!(series, want, "per-trial recomputation must be exact");
     }
 }

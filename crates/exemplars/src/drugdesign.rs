@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +35,7 @@ use pdc_chaos::{ChaosContext, CheckpointStore};
 use pdc_mpc::{Comm, MpcError, Source, World};
 use pdc_shmem::{parallel_for, Schedule, Team};
 
-use crate::recovery::RecoveredRun;
+use crate::recovery::{RecoveredRun, POLL};
 
 /// Alphabet the generator draws from (as in the CSinParallel original).
 const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
@@ -207,11 +206,6 @@ mod parking_lot_free {
 /// holds one task per worker (see the module docs).
 const DEPTH: usize = 2;
 
-/// How long the master of a faulted deal waits for a result before it
-/// looks for dead workers again: an `ANY_SOURCE` receive does not fail
-/// when a peer dies, since another peer may yet send.
-const POLL: Duration = Duration::from_millis(100);
-
 /// Message-passing version: the master-worker pattern, pipelined. Rank 0
 /// primes every worker with up to `DEPTH` (two) ligand indices; each
 /// `(index, score)` result a worker returns doubles as its request for
@@ -281,7 +275,6 @@ pub fn run_mpc_recoverable(
     RecoveredRun {
         value,
         degraded: stats.any_injected(),
-        attempts: 1,
         survivors: np.saturating_sub(stats.crashes as usize),
         world_size: np,
     }
@@ -474,10 +467,9 @@ fn finish(comm: &Comm, faulted: bool, result: Option<DrugResult>) -> Option<Drug
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{watchdog, Spinner};
     use pdc_chaos::FaultPlan;
     use pdc_mpc::analysis::{record_into, CommLog, OpKind};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
     fn score_is_lcs() {
@@ -544,20 +536,6 @@ mod tests {
                 let got = run_shmem(&config, &Team::new(threads), schedule);
                 assert_eq!(got, want, "threads={threads} {schedule:?}");
             }
-        }
-    }
-
-    /// Run `f` on its own thread and fail after 10 s instead of hanging,
-    /// so a lost task or dismissal fails the test.
-    fn watchdog<R: Send + 'static>(what: String, f: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => panic!("watchdog: {what} still running after 10 s"),
-            Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
         }
     }
 
@@ -678,7 +656,6 @@ mod tests {
         let (run, _) = recover(&config, 3, FaultPlan::new(5));
         assert_eq!(run.value, run_seq(&config));
         assert!(!run.degraded);
-        assert_eq!(run.attempts, 1);
         assert_eq!(run.survivors, 3);
     }
 
@@ -693,7 +670,6 @@ mod tests {
         let (run, ctx) = recover(&config, 4, plan);
         assert_eq!(run.value, run_seq(&config), "recovery must be exact");
         assert!(run.degraded);
-        assert_eq!(run.attempts, 1, "worker crash is recovered in-run");
         assert_eq!(run.survivors, 3);
         let s = ctx.stats();
         assert_eq!(s.crashes, 1, "scheduled crash fired");
@@ -711,38 +687,6 @@ mod tests {
         assert_eq!(run.value, run_seq(&config));
         let s = ctx.stats();
         assert!(s.all_recovered(), "{s:?}");
-    }
-
-    /// A thread that spins until dropped, so the rank threads beside it
-    /// are preempted at arbitrary points.
-    struct Spinner {
-        stop: Arc<AtomicBool>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl Spinner {
-        fn start() -> Self {
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&stop);
-            let thread = std::thread::spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
-            });
-            Spinner {
-                stop,
-                thread: Some(thread),
-            }
-        }
-    }
-
-    impl Drop for Spinner {
-        fn drop(&mut self) {
-            self.stop.store(true, Ordering::Relaxed);
-            if let Some(thread) = self.thread.take() {
-                let _ = thread.join();
-            }
-        }
     }
 
     #[test]

@@ -10,17 +10,17 @@
 //! parallelize.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pdc_chaos::ChaosContext;
+use pdc_chaos::{ChaosContext, CheckpointStore};
 use pdc_mpc::{Comm, MpcError, Source, World};
 use pdc_shmem::{parallel_for, Schedule, Team};
 
-use crate::recovery::RecoveredRun;
+use crate::recovery::{RecoveredRun, POLL};
 
 /// Cell states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,9 +130,8 @@ pub fn simulate_fire(size: usize, prob: f64, seed: u64) -> TrialResult {
 }
 
 /// Run flat trial `k` of the sweep: trial `k % trials` at probability
-/// index `k / trials`. Public, with [`fire_key`] and [`series`], so
-/// distributed drivers (e.g. the wire-mode study in `pdc-core`) number,
-/// checkpoint and assemble trials exactly as [`run_seq`] does.
+/// index `k / trials`. Every runner numbers trials this way and
+/// assembles them with [`series`], so each matches [`run_seq`] exactly.
 pub fn run_trial(config: &FireConfig, k: usize) -> TrialResult {
     let (pi, t) = (k / config.trials, k % config.trials);
     simulate_fire(
@@ -143,7 +142,7 @@ pub fn run_trial(config: &FireConfig, k: usize) -> TrialResult {
 }
 
 /// Checkpoint key for flat trial index `k`.
-pub fn fire_key(k: usize) -> String {
+fn fire_key(k: usize) -> String {
     format!("fire/{k}")
 }
 
@@ -210,153 +209,133 @@ pub fn run_mpc(config: &FireConfig, np: usize) -> Vec<FirePoint> {
     results.into_iter().next().expect("at least one rank")
 }
 
-/// Tag recoverable workers use to report `(flat trial index, result)`.
-const TAG_FIRE_RESULT: i32 = 5;
+/// Tag a worker reports a checkpointed trial's flat index on.
+const TAG_REPORT: i32 = 5;
 
-/// Chaos-hardened message-passing sweep: [`run_mpc`] rebuilt to survive
-/// the fault plan armed in `ctx`.
-///
-/// Trials keep the same round-robin ownership as `run_mpc`, but every
-/// completed trial is checkpointed on rank 0 the moment it exists:
-/// workers push `(k, result)` to rank 0 with [`Comm::send_reliable`]
-/// (at-least-once beats the lossy user plane), and rank 0 banks its own
-/// trials directly. A rank whose crash schedule fires unwinds
-/// cooperatively; the driver relaunches the world — *sharing the same
-/// injector*, so consumed crash points stay consumed — and the restart
-/// skips everything already checkpointed. Trials a dead rank never
-/// finished are recomputed inline at the end, so the sweep always
-/// completes and the output is bit-identical to [`run_seq`].
+/// How long rank 0 of [`sweep_recoverable`] waits, after its own stride,
+/// for every trial to be reported or orphaned by a death.
+const PATIENCE: Duration = Duration::from_secs(30);
+
+/// Chaos-hardened message-passing sweep: [`sweep_recoverable`] in one
+/// thread-mode world launch under the fault plan armed in `ctx`, with
+/// checkpoints in `ctx`'s store. A rank whose crash point fires dies by
+/// [`Comm::crash`]; rank 0 adopts its trials, so the output is
+/// bit-identical to [`run_seq`].
 pub fn run_mpc_recoverable(
     config: &FireConfig,
     np: usize,
     ctx: &ChaosContext,
 ) -> RecoveredRun<Vec<FirePoint>> {
     assert!(np >= 1);
-    let total = config.probabilities.len() * config.trials;
-    let store = &ctx.checkpoints;
-    let log = ctx.injector.log();
-    // One restart per scheduled crash, plus one slack attempt.
-    let max_attempts = ctx.plan().crashes.len() as u32 + 2;
-    let mut attempts = 0u32;
-    while attempts < max_attempts && !(0..total).all(|k| store.contains(&fire_key(k))) {
-        attempts += 1;
-        World::new(np)
-            .with_fault_injector(Arc::clone(&ctx.injector))
-            .with_retry_policy(ctx.retry)
-            .run(|comm| fire_attempt(config, ctx, &comm));
-    }
-    // Trials still missing (owned by a rank that died in the final
-    // attempt) are recomputed inline: degraded, but the sweep completes
-    // with full, bit-identical data.
-    for k in 0..total {
-        if !store.contains(&fire_key(k)) {
-            store.save(&fire_key(k), &run_trial(config, k));
-        }
-    }
-    // The sweep completed despite every crash that fired: mark them
-    // recovered so the ledger reconciles (recovered == recoverable).
-    let s = log.stats();
-    for _ in s.crashes_recovered..s.crashes {
-        log.crash_recovered();
-    }
-    let value = series(config, |k| {
-        store.peek(&fire_key(k)).expect("all trials checkpointed")
-    });
+    let outs = World::new(np)
+        .with_fault_injector(Arc::clone(&ctx.injector))
+        .with_retry_policy(ctx.retry)
+        .run(|comm| {
+            let swept = sweep_recoverable(config, &comm, &ctx.checkpoints);
+            if swept.is_err() {
+                comm.crash();
+            }
+            swept
+        });
+    let value = match outs.into_iter().next() {
+        Some(Ok(Some(series))) => series,
+        other => panic!("forest fire: rank 0 did not finish the sweep: {other:?}"),
+    };
     let stats = ctx.stats();
     RecoveredRun {
         value,
         degraded: stats.any_injected(),
-        attempts,
         survivors: np.saturating_sub(stats.crashes as usize),
         world_size: np,
     }
 }
 
-/// One world launch of the recoverable sweep. Returns `true` if this
-/// rank crashed (information only; the driver decides what to do next).
-fn fire_attempt(config: &FireConfig, ctx: &ChaosContext, comm: &Comm) -> bool {
+/// The recoverable sweep, written once for thread-mode and wire-mode
+/// worlds. Trials stride across the ranks of `comm` as in [`run_mpc`]
+/// (rank `r` owns every flat index `k` with `k % np == r`), and every
+/// finished trial is saved to `store`, which every rank must see (shared
+/// memory for threads, a shared directory for processes). There is no
+/// barrier, shrink or collective, so no rank waits out a collective
+/// timeout.
+///
+/// A worker takes one crash step of `comm`'s fault injector before each
+/// trial. When its crash point fires, this returns `Err(Crashed)` without
+/// registering the death: the caller dies its own way (a thread calls
+/// [`Comm::crash`], a process aborts). A worker that finishes its stride
+/// reports each index to rank 0 with [`Comm::send_reliable`]; if a report
+/// fails, it crashes itself so rank 0 adopts its trials.
+///
+/// Rank 0 takes no crash steps. After its own stride it collects reports
+/// (duplicates are harmless) until every trial is reported or owned by a
+/// dead rank, then adopts each unreported trial: it restores the ones
+/// the dead owner checkpointed (a counted restore) and computes the rest.
+/// It marks one crash recovered per dead rank and returns the assembled
+/// series; workers return `None`. If the collection outlasts 30 s,
+/// rank 0 returns `Err(Timeout)`.
+pub fn sweep_recoverable(
+    config: &FireConfig,
+    comm: &Comm,
+    store: &CheckpointStore,
+) -> Result<Option<Vec<FirePoint>>, MpcError> {
     let total = config.probabilities.len() * config.trials;
-    let np = comm.size();
-    let store = &ctx.checkpoints;
-    if comm.rank() == 0 {
-        let bank = |k: usize, r: &TrialResult| {
-            if !store.contains(&fire_key(k)) {
-                store.save(&fire_key(k), r);
-            }
-        };
-        // Drain any worker results already waiting, without blocking.
-        let drain = || {
-            while comm.iprobe(Source::Any, TAG_FIRE_RESULT).is_some() {
-                match comm.recv::<(usize, TrialResult)>(Source::Any, TAG_FIRE_RESULT) {
-                    Ok((k, r)) => bank(k, &r),
-                    Err(_) => break,
-                }
-            }
-        };
-        for k in (0..total).step_by(np) {
-            if comm.chaos_step().is_err() {
-                return true; // rank 0's own crash: unwind, driver restarts
-            }
-            // `load` (not `peek`): skipping a trial a previous attempt
-            // banked *is* restored work, and is counted as such.
-            if store.load::<TrialResult>(&fire_key(k)).is_none() {
-                let r = run_trial(config, k);
-                store.save(&fire_key(k), &r);
-            }
-            drain();
+    let (rank, np) = (comm.rank(), comm.size());
+    let injector = comm.fault_injector();
+    for k in (rank..total).step_by(np) {
+        if rank != 0 && injector.as_ref().is_some_and(|inj| inj.compute_step(rank)) {
+            return Err(MpcError::Crashed { rank });
         }
-        // Collection: wait for the remaining worker results. Stop when
-        // everything is banked, or the only missing trials belong to
-        // dead ranks (a restart or the inline fallback will cover them).
-        let mut idle_rounds = 0u32;
-        loop {
-            let missing: Vec<usize> = (0..total)
-                .filter(|&k| !store.contains(&fire_key(k)))
-                .collect();
-            if missing.is_empty() {
-                return false;
-            }
-            if missing.iter().all(|&k| !comm.is_alive(k % np)) {
-                return false;
-            }
-            match comm.recv_timeout::<(usize, TrialResult)>(
-                Source::Any,
-                TAG_FIRE_RESULT,
-                Duration::from_millis(100),
-            ) {
-                Ok(((k, r), _)) => {
-                    bank(k, &r);
-                    idle_rounds = 0;
-                }
-                Err(MpcError::Timeout { .. }) => {
-                    idle_rounds += 1;
-                    if idle_rounds > 100 {
-                        return false; // safety valve (~10 s of silence)
-                    }
-                }
-                Err(_) => return false,
-            }
-        }
-    } else {
-        for k in (comm.rank()..total).step_by(np) {
-            if comm.chaos_step().is_err() {
-                return true;
-            }
-            if store.load::<TrialResult>(&fire_key(k)).is_some() {
-                continue; // restored from a previous attempt
-            }
-            let r = run_trial(config, k);
-            if comm.send_reliable(0, TAG_FIRE_RESULT, &(k, r)).is_err() {
-                return true; // master gone or delivery failed: unwind
-            }
-        }
-        false
+        store.save(&fire_key(k), &run_trial(config, k));
     }
+    if rank != 0 {
+        for k in (rank..total).step_by(np) {
+            if let Err(e) = comm.send_reliable(0, TAG_REPORT, &k) {
+                comm.crash();
+                return Err(e);
+            }
+        }
+        return Ok(None);
+    }
+    let mut reported: Vec<bool> = (0..total).map(|k| k % np == 0).collect();
+    let deadline = Instant::now() + PATIENCE;
+    while (0..total).any(|k| !reported[k] && comm.is_alive(k % np)) {
+        if Instant::now() >= deadline {
+            return Err(MpcError::Timeout {
+                waited: PATIENCE,
+                operation: "forest-fire report collection",
+            });
+        }
+        match comm.recv_timeout::<usize>(Source::Any, TAG_REPORT, POLL) {
+            Ok((k, _)) => {
+                if let Some(seen) = reported.get_mut(k) {
+                    *seen = true;
+                }
+            }
+            Err(MpcError::Timeout { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    for k in (0..total).filter(|&k| !reported[k]) {
+        if store.load::<TrialResult>(&fire_key(k)).is_none() {
+            store.save(&fire_key(k), &run_trial(config, k));
+        }
+    }
+    if let Some(inj) = &injector {
+        for _ in comm.failed_ranks() {
+            inj.log().crash_recovered();
+        }
+    }
+    Ok(Some(series(config, |k| {
+        store.peek(&fire_key(k)).expect("every trial checkpointed")
+    })))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{watchdog, Spinner};
+    use pdc_chaos::FaultPlan;
+    use pdc_mpc::analysis::{record_into, CommLog, OpKind};
+    use pdc_mpc::Tag;
 
     #[test]
     fn zero_probability_burns_only_centre() {
@@ -463,6 +442,20 @@ mod tests {
         simulate_fire(5, 1.5, 0);
     }
 
+    /// Run `run_mpc_recoverable` under `plan` on the watchdog; returns the
+    /// run and its context, for the ledger.
+    fn recover(
+        config: &FireConfig,
+        np: usize,
+        plan: FaultPlan,
+    ) -> (RecoveredRun<Vec<FirePoint>>, ChaosContext) {
+        let ctx = ChaosContext::new(plan);
+        let (c, x) = (config.clone(), ctx.clone());
+        let what = format!("run_mpc_recoverable(np={np}, {:?})", ctx.plan());
+        let run = watchdog(what, move || run_mpc_recoverable(&c, np, &x));
+        (run, ctx)
+    }
+
     #[test]
     fn recoverable_matches_seq_without_faults() {
         let config = FireConfig {
@@ -471,11 +464,9 @@ mod tests {
             probabilities: vec![0.3, 0.7],
             ..FireConfig::default()
         };
-        let ctx = ChaosContext::new(pdc_chaos::FaultPlan::new(7));
-        let run = run_mpc_recoverable(&config, 3, &ctx);
+        let (run, _) = recover(&config, 3, FaultPlan::new(7));
         assert_eq!(run.value, run_seq(&config));
         assert!(!run.degraded);
-        assert_eq!(run.attempts, 1);
         assert_eq!(run.survivors, 3);
     }
 
@@ -487,12 +478,11 @@ mod tests {
             probabilities: vec![0.3, 0.6, 0.9],
             ..FireConfig::default()
         };
-        let plan = pdc_chaos::FaultPlan::new(42)
+        let plan = FaultPlan::new(42)
             .with_drop_rate(0.3)
             .with_straggler(1, 1)
             .with_crash(2, 2);
-        let ctx = ChaosContext::new(plan);
-        let run = run_mpc_recoverable(&config, 4, &ctx);
+        let (run, ctx) = recover(&config, 4, plan);
         assert_eq!(run.value, run_seq(&config), "recovery must be exact");
         assert!(run.degraded);
         assert_eq!(run.survivors, 3);
@@ -509,18 +499,12 @@ mod tests {
             probabilities: vec![0.4, 0.8],
             ..FireConfig::default()
         };
-        let make_plan = || {
-            pdc_chaos::FaultPlan::new(99)
-                .with_drop_rate(0.25)
-                .with_crash(1, 3)
-        };
         let run_once = || {
-            let ctx = ChaosContext::new(make_plan());
-            let run = run_mpc_recoverable(&config, 3, &ctx);
+            let plan = FaultPlan::new(99).with_drop_rate(0.25).with_crash(1, 3);
+            let (run, ctx) = recover(&config, 3, plan);
             let s = ctx.stats();
             (
                 run.value,
-                run.attempts,
                 run.survivors,
                 s.drops,
                 s.crashes,
@@ -531,5 +515,71 @@ mod tests {
             )
         };
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn recoverable_adopts_the_dead_rank_under_any_schedule() {
+        // The chaos study's fire plan and world: rank 2 dies before its
+        // third of ten trials, so rank 0 restores the two it saved and
+        // computes the other eight, whatever the schedule.
+        let config = FireConfig {
+            size: 15,
+            trials: 4,
+            ..FireConfig::default()
+        };
+        let plan = || {
+            FaultPlan::new(2020)
+                .with_drop_rate(0.2)
+                .with_straggler(1, 1)
+                .with_crash(2, 2)
+        };
+        let want = run_seq(&config);
+        let _spinner = Spinner::start();
+        let mut first = None;
+        for n in 0..20 {
+            let (run, ctx) = recover(&config, 4, plan());
+            let s = ctx.stats();
+            assert_eq!(s.crashes, 1, "run {n}: the crash fired");
+            assert_eq!(s.checkpoints_restored, 2, "run {n}");
+            assert_eq!(run.value, want, "run {n}");
+            assert_eq!(*first.get_or_insert(s), s, "run {n}: the ledger moved");
+        }
+    }
+
+    #[test]
+    fn recoverable_sends_one_report_per_worker_trial() {
+        let config = FireConfig {
+            size: 11,
+            trials: 3,
+            probabilities: vec![0.2, 0.5, 0.8, 1.0],
+            ..FireConfig::default()
+        };
+        let total = 12;
+        for np in [2, 3, 5] {
+            let what = format!("np={np}");
+            let log = CommLog::new();
+            let (c, l) = (config.clone(), log.clone());
+            let value = watchdog(what.clone(), move || {
+                record_into(&l, || {
+                    run_mpc_recoverable(&c, np, &ChaosContext::new(FaultPlan::new(3))).value
+                })
+            });
+            assert_eq!(value, run_seq(&config), "{what}");
+            let runs = log.take();
+            assert_eq!(runs.len(), 1, "{what}");
+            let sends: Vec<Tag> = runs[0]
+                .ops
+                .iter()
+                .filter_map(|o| match o.kind {
+                    OpKind::Send {
+                        user: true, tag, ..
+                    } => Some(tag),
+                    _ => None,
+                })
+                .collect();
+            let worker_trials = (0..total).filter(|k| k % np != 0).count();
+            assert_eq!(sends.len(), worker_trials, "{what}");
+            assert!(sends.iter().all(|&t| t == TAG_REPORT), "{what}: {sends:?}");
+        }
     }
 }

@@ -26,8 +26,11 @@
 //!
 //! The Module B exemplars additionally ship **recoverable** variants
 //! (`run_mpc_recoverable`) that run under a [`pdc_chaos`] fault plan and
-//! survive injected message loss, stragglers, and rank crashes via
-//! retry, checkpoint/restart, and ULFM-style shrink — returning a
+//! survive injected message loss, stragglers, and rank crashes in one
+//! world launch: reliable sends retransmit dropped messages, and rank 0
+//! takes over a dead rank's work, restoring what it checkpointed.
+//! Drug design's master deals a dead worker's tasks to the survivors;
+//! forest fire's rank 0 adopts a dead rank's trials. Each returns a
 //! [`RecoveredRun`] whose value is bit-identical to the fault-free run.
 
 pub mod drugdesign;
@@ -37,6 +40,8 @@ pub mod integration;
 pub mod pandemic;
 pub mod recovery;
 pub mod sorting;
+#[cfg(test)]
+mod testkit;
 
 pub use drugdesign::{DrugConfig, DrugResult};
 pub use forestfire::{FireConfig, FirePoint};
