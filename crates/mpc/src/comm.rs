@@ -15,7 +15,7 @@ use crate::analysis::{self, OpKind};
 use crate::envelope::{Envelope, Source, Tag, TagSel};
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
-use crate::transport::{FrameOutcome, WireFrame};
+use crate::transport::{FrameOutcome, Lead, WireFrame};
 use crate::world::{Fabric, Route};
 
 /// What became of one transmission at the send chokepoint — internal,
@@ -112,6 +112,29 @@ impl Comm {
             }
             _ => None,
         }
+    }
+
+    /// A wire wait's [`Lead`]: the one link a message from `src` can
+    /// arrive on — `src` itself, or for `ANY_SOURCE` the only live peer
+    /// in the group — or none. `None` on a thread fabric.
+    pub(crate) fn lead(&self, src: Source) -> Option<Lead<'_>> {
+        let transport = self.fabric.transport()?;
+        let me = self.world_rank(self.rank);
+        let link = match src {
+            Source::Rank(r) => self.group.get(r).copied().filter(|&w| w != me),
+            Source::Any => {
+                let mut live = self
+                    .group
+                    .iter()
+                    .copied()
+                    .filter(|&w| w != me && !self.fabric.dead.contains(w));
+                live.next().filter(|_| live.next().is_none())
+            }
+        };
+        Some(Lead {
+            transport: transport.as_ref(),
+            link,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -283,6 +306,7 @@ impl Comm {
             tag,
             timeout,
             &self.peer_gone_check(src),
+            self.lead(src),
         ) {
             Ok(env) => env,
             Err(e) => {
@@ -382,7 +406,7 @@ impl Comm {
         let bytes = encode(value);
         let latch = Arc::new(Latch::with_spin(self.fabric.spin));
         self.send_bytes_internal(dest, tag, bytes, Some(Arc::clone(&latch)))?;
-        if latch.wait(timeout) {
+        if latch.wait_on(timeout, self.lead(Source::Rank(dest))) {
             Ok(())
         } else {
             Err(MpcError::Timeout {
@@ -472,6 +496,7 @@ impl Comm {
             tag.into(),
             None,
             &self.peer_gone_check(src),
+            self.lead(src),
         )?;
         Ok(Status { source, tag, len })
     }
@@ -479,9 +504,13 @@ impl Comm {
     /// Non-blocking probe — `MPI_Iprobe`.
     pub fn iprobe(&self, src: impl Into<Source>, tag: impl Into<TagSel>) -> Option<Status> {
         let me = self.world_rank(self.rank);
+        let src = src.into();
+        if let Some(lead) = self.lead(src) {
+            lead.poke();
+        }
         self.fabric
             .local_mailbox(me)
-            .try_peek_matching(self.comm_id, src.into(), tag.into())
+            .try_peek_matching(self.comm_id, src, tag.into())
             .map(|(source, tag, len)| Status { source, tag, len })
     }
 }
@@ -529,6 +558,9 @@ impl<T: DeserializeOwned> RecvRequest<T> {
     #[allow(clippy::result_large_err)]
     pub fn test(self) -> std::result::Result<Result<(T, Status)>, Self> {
         let me = self.comm.world_rank(self.comm.rank);
+        if let Some(lead) = self.comm.lead(self.src) {
+            lead.poke();
+        }
         if self
             .comm
             .fabric

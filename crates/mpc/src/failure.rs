@@ -25,7 +25,7 @@ use serde::Serialize;
 use pdc_chaos::FaultInjector;
 
 use crate::comm::{encode, Comm, SendOutcome};
-use crate::envelope::Tag;
+use crate::envelope::{Source, Tag};
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
 
@@ -208,7 +208,7 @@ impl Comm {
                 pending_drops += 1;
                 continue; // nothing deposited; no ack can come
             }
-            if latch.wait(Some(ack_window)) {
+            if latch.wait_on(Some(ack_window), self.lead(Source::Rank(dest))) {
                 if let Some(log) = &log {
                     log.drops_recovered(pending_drops);
                 }

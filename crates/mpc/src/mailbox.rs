@@ -13,10 +13,20 @@
 //! [`WaitCell`], which holds the spin-then-park protocol. A receive scans
 //! the queue *before* it consults its failure predicate, so messages a
 //! dead peer deposited stay receivable; a crash (`Mailbox::interrupt`)
-//! notifies without changing the queue. Wire ranks (`World::attach`)
-//! never spin: pdc-net's reader pumps need the same CPUs, and on a
-//! 2-vCPU host spinning them cut the wire lab's time by ~29% but raised
-//! its CPU per lab by ~27%.
+//! notifies without changing the queue.
+//!
+//! Wire ranks (`World::attach`) never spin: on a 2-vCPU host spinning
+//! cut the wire lab's time by ~29% but raised its CPU per lab by ~27%.
+//! Instead, a wire wait that only one link can end first offers itself
+//! to the transport's progress hook ([`Transport::progress`]): the
+//! waiting thread reads that link and deposits its frames itself,
+//! checking the queue between frames, so a message costs no wake-up at
+//! all. A wait the hook declines (`ANY_SOURCE` over several live links,
+//! a deadline nearer than one socket read timeout, no link up) parks on
+//! the cell as above, and a reader pump deposits. Thread-mode waits
+//! have no hook and go straight to the cell.
+//!
+//! [`Transport::progress`]: crate::Transport::progress
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,6 +36,7 @@ use pdc_shmem::sync::{deadline_after, WaitCell};
 
 use crate::envelope::{Envelope, Source, TagSel};
 use crate::error::{MpcError, Result};
+use crate::transport::Lead;
 
 /// A one-shot completion latch used by synchronous sends: the sender
 /// blocks on [`Latch::wait`] until the receiver calls [`Latch::open`]
@@ -98,10 +109,16 @@ impl Latch {
     /// Returns `false` on timeout. A timeout too large for an `Instant`
     /// deadline waits forever.
     pub fn wait(&self, timeout: Option<Duration>) -> bool {
-        self.cell
-            .wait_until(self.spin, deadline_after(timeout), |st| {
-                st.open.then_some(())
-            })
+        self.wait_on(timeout, None)
+    }
+
+    /// [`Latch::wait`] that first offers the wait to `lead`'s progress
+    /// hook on a wire fabric (see the module doc).
+    pub(crate) fn wait_on(&self, timeout: Option<Duration>, lead: Option<Lead<'_>>) -> bool {
+        let deadline = deadline_after(timeout);
+        let check = |st: &mut LatchState| st.open.then_some(());
+        lead.and_then(|lead| lead.drive(deadline, || check(&mut self.cell.lock())))
+            .or_else(|| self.cell.wait_until(self.spin, deadline, check))
             .is_some()
     }
 }
@@ -187,14 +204,15 @@ impl Mailbox {
         tag: TagSel,
         timeout: Option<Duration>,
     ) -> Result<Envelope> {
-        self.take_matching_checked(comm_id, src, tag, timeout, &|| None)
+        self.take_matching_checked(comm_id, src, tag, timeout, &|| None, None)
     }
 
     /// [`Mailbox::take_matching`] with a failure predicate, evaluated
     /// under the queue lock before every wait. Ordering matters: the
     /// queue is always scanned *before* `fail` is consulted, so messages
     /// deposited by a peer before it died remain receivable — only a
-    /// wait that would otherwise block surfaces the failure.
+    /// wait that would otherwise block surfaces the failure. A wire
+    /// fabric passes the wait's `lead` (see the module doc).
     pub(crate) fn take_matching_checked(
         &self,
         comm_id: u64,
@@ -202,8 +220,9 @@ impl Mailbox {
         tag: TagSel,
         timeout: Option<Duration>,
         fail: &dyn Fn() -> Option<MpcError>,
+        lead: Option<Lead<'_>>,
     ) -> Result<Envelope> {
-        let env = self.wait_for(timeout, "recv", fail, |q| {
+        let env = self.wait_for(timeout, "recv", fail, lead, |q| {
             let pos = q.iter().position(|e| e.matches(comm_id, &src, &tag))?;
             let env = q.remove(pos).expect("position just found");
             pdc_trace::gauge("mpc", "mailbox_depth", q.len() as f64);
@@ -226,7 +245,7 @@ impl Mailbox {
         tag: TagSel,
         timeout: Option<Duration>,
     ) -> Result<(usize, i32, usize)> {
-        self.peek_matching_checked(comm_id, src, tag, timeout, &|| None)
+        self.peek_matching_checked(comm_id, src, tag, timeout, &|| None, None)
     }
 
     /// [`Mailbox::peek_matching`] with a failure predicate; same scan
@@ -238,8 +257,9 @@ impl Mailbox {
         tag: TagSel,
         timeout: Option<Duration>,
         fail: &dyn Fn() -> Option<MpcError>,
+        lead: Option<Lead<'_>>,
     ) -> Result<(usize, i32, usize)> {
-        self.wait_for(timeout, "probe", fail, |q| {
+        self.wait_for(timeout, "probe", fail, lead, |q| {
             q.iter()
                 .find(|e| e.matches(comm_id, &src, &tag))
                 .map(|e| (e.src, e.tag, e.payload.len()))
@@ -255,13 +275,16 @@ impl Mailbox {
         timeout: Option<Duration>,
         operation: &'static str,
         fail: &dyn Fn() -> Option<MpcError>,
+        lead: Option<Lead<'_>>,
         mut scan: impl FnMut(&mut VecDeque<Envelope>) -> Option<R>,
     ) -> Result<R> {
-        self.queue
-            .wait_until(self.spin, deadline_after(timeout), |q| match scan(q) {
-                Some(found) => Some(Ok(found)),
-                None => fail().map(Err),
-            })
+        let deadline = deadline_after(timeout);
+        let mut check = |q: &mut VecDeque<Envelope>| match scan(q) {
+            Some(found) => Some(Ok(found)),
+            None => fail().map(Err),
+        };
+        lead.and_then(|lead| lead.drive(deadline, || check(&mut self.queue.lock())))
+            .or_else(|| self.queue.wait_until(self.spin, deadline, check))
             .unwrap_or_else(|| {
                 Err(MpcError::Timeout {
                     waited: timeout.expect("only a timed wait times out"),
@@ -462,12 +485,12 @@ mod tests {
         let fail = || Some(MpcError::PeerGone { rank: 1 });
         // The pre-death message is still delivered...
         let got = mb
-            .take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &fail)
+            .take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &fail, None)
             .unwrap();
         assert_eq!(&got.payload[..], b"already-sent");
         // ...and only a would-block wait surfaces the failure.
         let err = mb
-            .take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &fail)
+            .take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &fail, None)
             .unwrap_err();
         assert!(matches!(err, MpcError::PeerGone { rank: 1 }));
     }
@@ -482,12 +505,19 @@ mod tests {
         // check: the elapsed time tells the two apart.
         let h = std::thread::spawn(move || {
             let start = Instant::now();
-            let got =
-                mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, Some(WATCHDOG), &|| {
-                    dead2
-                        .load(Ordering::SeqCst)
-                        .then_some(MpcError::PeerGone { rank: 1 })
-                });
+            let gone = || {
+                dead2
+                    .load(Ordering::SeqCst)
+                    .then_some(MpcError::PeerGone { rank: 1 })
+            };
+            let got = mb2.take_matching_checked(
+                0,
+                Source::Rank(1),
+                TagSel::Any,
+                Some(WATCHDOG),
+                &gone,
+                None,
+            );
             (got, start.elapsed())
         });
         until_parked(|| mb.queue.parked());
@@ -533,11 +563,12 @@ mod tests {
         let (mb2, dead2) = (Arc::clone(&mb), Arc::clone(&dead));
         let start = Instant::now();
         let h = std::thread::spawn(move || {
-            mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &|| {
+            let gone = || {
                 dead2
                     .load(Ordering::SeqCst)
                     .then_some(MpcError::PeerGone { rank: 1 })
-            })
+            };
+            mb2.take_matching_checked(0, Source::Rank(1), TagSel::Any, None, &gone, None)
         });
         std::thread::sleep(Duration::from_millis(5));
         dead.store(true, Ordering::SeqCst);

@@ -10,8 +10,10 @@
 //!
 //! - Outbound: `send_bytes_inner` frames the message as a [`WireFrame`]
 //!   and calls [`Transport::send_frame`].
-//! - Inbound: the transport's receive pump calls
-//!   [`WireHandle::deliver`], depositing into the one local mailbox.
+//! - Inbound: whichever thread reads a link — the transport's receive
+//!   pump, or a rank blocked on that link ([`Transport::progress`]) —
+//!   calls [`WireHandle::deliver`], depositing into the one local
+//!   mailbox.
 //! - Rendezvous/acks: a sender needing a delivery ack registers its
 //!   [`Latch`] in the fabric's ack table and ships the id; the
 //!   receiving side echoes the id in an ack frame at *match time*
@@ -27,6 +29,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -37,8 +40,8 @@ use crate::mailbox::Latch;
 use crate::world::Fabric;
 
 /// One logical message bound for a remote rank — what the send
-/// chokepoint hands to [`Transport::send_frame`], and what a receive
-/// pump hands back to [`WireHandle::deliver`].
+/// chokepoint hands to [`Transport::send_frame`], and what the thread
+/// reading a link hands back to [`WireHandle::deliver`].
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     /// Destination communicator id.
@@ -108,6 +111,68 @@ pub trait Transport: Send + Sync {
     /// Graceful teardown: say goodbye to peers after every frame already
     /// sent, stop the transport's threads. Idempotent.
     fn shutdown(&self) {}
+
+    /// Progress hook of a rank about to block on a wire wait (a receive,
+    /// a probe, a sync-send or reliable-send latch). `link` is the one
+    /// world rank whose frames can end the wait, or `None` when several
+    /// links (or none) can.
+    ///
+    /// With a `link`, a transport may read and handle that link's frames
+    /// on the calling thread — the waiter drives the network, as in
+    /// MPICH's progress engine — running `ready` (the wait's own check,
+    /// failure predicate included) before every read, and return as soon
+    /// as `ready` returns `true`. Deposits that do not come off `link`
+    /// (another thread's self-send, a crash verdict) reach a leading
+    /// waiter at its next socket read timeout at the latest.
+    ///
+    /// A transport declines a wait by returning before `ready` holds: no
+    /// hook, no `link`, no link up, or a `deadline` nearer than one
+    /// socket read timeout (a read could overrun it; a non-blocking poll
+    /// passes a deadline of now). The caller then parks on its wait cell
+    /// as a thread-mode rank does, and the transport must keep reading
+    /// every link the wait could be ended by. The default declines every
+    /// wait.
+    fn progress(
+        &self,
+        link: Option<usize>,
+        deadline: Option<Instant>,
+        ready: &mut dyn FnMut() -> bool,
+    ) {
+        let _ = (link, deadline, ready);
+    }
+}
+
+/// A blocked wait on a wire fabric: the transport whose progress hook
+/// it runs, and the one link that can end it, if just one can.
+#[derive(Clone, Copy)]
+pub(crate) struct Lead<'a> {
+    pub(crate) transport: &'a dyn Transport,
+    pub(crate) link: Option<usize>,
+}
+
+impl Lead<'_> {
+    /// Run `check` through [`Transport::progress`] until it yields;
+    /// `None` when the transport declines, and the caller parks instead.
+    pub(crate) fn drive<R>(
+        self,
+        deadline: Option<Instant>,
+        mut check: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        let mut found = None;
+        self.transport.progress(self.link, deadline, &mut || {
+            found = check();
+            found.is_some()
+        });
+        found
+    }
+
+    /// A poll that does not wait (`iprobe`, `test`): a zero deadline,
+    /// which every transport declines, so any link a rank kept reading
+    /// goes back to a pump and the poll sees frames as they arrive.
+    pub(crate) fn poke(self) {
+        self.transport
+            .progress(self.link, Some(Instant::now()), &mut || false);
+    }
 }
 
 /// Pending delivery acks by id — the cross-process analog of handing an

@@ -155,9 +155,11 @@ impl World {
         self.with_fault_injector(Arc::new(FaultInjector::new(plan)))
     }
 
-    /// Run under an already-armed injector — lets a restart sequence
-    /// share one injector (and its consumed crash schedule and fault
-    /// ledger) across several `World::run` attempts.
+    /// Run under an already-armed injector that the caller shares with
+    /// the rest of the run, so one fault ledger records all of it: a
+    /// `pdc_chaos::ChaosContext`'s checkpoint store logs its saves and
+    /// restores into the same injector, and the wire study's pdc-net
+    /// `FlakyTransport` draws its frame verdicts from it.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self

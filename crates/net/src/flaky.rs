@@ -26,6 +26,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use pdc_chaos::{FaultInjector, SendFault};
 use pdc_mpc::{FrameOutcome, Transport, WireFrame, WireHandle};
@@ -158,6 +159,15 @@ impl Transport for FlakyTransport {
 
     fn shutdown(&self) {
         self.inner.shutdown();
+    }
+
+    fn progress(
+        &self,
+        link: Option<usize>,
+        deadline: Option<Instant>,
+        ready: &mut dyn FnMut() -> bool,
+    ) {
+        self.inner.progress(link, deadline, ready);
     }
 }
 

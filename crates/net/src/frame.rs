@@ -30,6 +30,8 @@
 
 use std::io::{self, Read, Write};
 
+use bytes::Bytes;
+
 /// `"PDCN"` — the frame magic.
 pub const WIRE_MAGIC: [u8; 4] = *b"PDCN";
 
@@ -79,8 +81,9 @@ impl FrameKind {
     }
 }
 
-/// One wire frame. Decoding yields an owned `Vec<u8>` payload; a sender
-/// may frame any byte buffer (`Frame<Bytes>` encodes straight from a
+/// One wire frame. [`Frame::read_from`] yields an owned `Vec<u8>`
+/// payload and a link's read buffer a `Bytes` one; a sender may frame
+/// any byte buffer (`Frame<Bytes>` encodes straight from a
 /// message's shared payload, with no intermediate copy).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<P = Vec<u8>> {
@@ -121,53 +124,48 @@ impl Frame {
         }
     }
 
-    /// Read and validate one frame from a stream. An `UnexpectedEof`
-    /// before the first header byte is a clean close; anywhere else it
-    /// is a truncated frame. Validation failures come back as
-    /// `InvalidData` errors naming the failed check.
+    /// Read and validate one frame from a stream, reading exactly its
+    /// bytes (the handshake reads this way, so nothing after the frame
+    /// is consumed). An `UnexpectedEof` before the first header byte is
+    /// a clean close; anywhere else it is a truncated frame. Validation
+    /// failures come back as `InvalidData` errors naming the failed check.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
-        if header[0..4] != WIRE_MAGIC {
-            return Err(bad("bad frame magic"));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != WIRE_VERSION {
-            return Err(bad("unsupported wire version"));
-        }
-        let Some(kind) = FrameKind::from_u8(header[6]) else {
-            return Err(bad("unknown frame kind"));
-        };
-        let flags = header[7];
-        let src = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let tag = i32::from_le_bytes(header[12..16].try_into().unwrap());
-        let comm_id = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let ack_id = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        let len = u32::from_le_bytes(header[32..36].try_into().unwrap());
-        let want_crc = u32::from_le_bytes(header[36..40].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            return Err(bad("frame payload too large"));
-        }
-        let mut payload = vec![0u8; len as usize];
+        let len = check_header(&header)?;
+        let mut payload = vec![0u8; len];
         r.read_exact(&mut payload)?;
-        let got_crc = !crc32_update(crc32_update(CRC_INIT, &header[..HEADER_LEN - 4]), &payload);
+        Frame::assemble(&header, payload)
+    }
+}
+
+impl<P: AsRef<[u8]>> Frame<P> {
+    /// Check a frame's checksum and assemble it from a header that
+    /// passed [`check_header`]; the one decoder behind
+    /// [`Frame::read_from`] and [`FrameBuf`].
+    fn assemble(header: &[u8; HEADER_LEN], payload: P) -> io::Result<Frame<P>> {
+        let kind = FrameKind::from_u8(header[6]).ok_or_else(|| bad("unknown frame kind"))?;
+        let flags = header[7];
+        let want_crc = u32::from_le_bytes(header[36..40].try_into().unwrap());
+        let got_crc = !crc32_update(
+            crc32_update(CRC_INIT, &header[..HEADER_LEN - 4]),
+            payload.as_ref(),
+        );
         if got_crc != want_crc {
             return Err(bad("frame checksum mismatch"));
         }
         Ok(Frame {
             kind,
-            src,
-            tag,
-            comm_id,
-            ack_id,
+            src: u32::from_le_bytes(header[8..12].try_into().unwrap()),
+            tag: i32::from_le_bytes(header[12..16].try_into().unwrap()),
+            comm_id: u64::from_le_bytes(header[16..24].try_into().unwrap()),
+            ack_id: u64::from_le_bytes(header[24..32].try_into().unwrap()),
             overtake: flags & FLAG_OVERTAKE != 0,
             retransmit: flags & FLAG_RETRANSMIT != 0,
             payload,
         })
     }
-}
 
-impl<P: AsRef<[u8]>> Frame<P> {
     /// Serialize into one write-ready buffer.
     pub fn encode(&self) -> Vec<u8> {
         let payload = self.payload.as_ref();
@@ -203,6 +201,106 @@ impl<P: AsRef<[u8]>> Frame<P> {
 
 pub(crate) fn bad(msg: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Check a header's magic, version, kind and length as soon as it has
+/// arrived, before anything is read or allocated for its payload, and
+/// return the payload length.
+fn check_header(header: &[u8; HEADER_LEN]) -> io::Result<usize> {
+    if header[0..4] != WIRE_MAGIC {
+        return Err(bad("bad frame magic"));
+    }
+    if u16::from_le_bytes([header[4], header[5]]) != WIRE_VERSION {
+        return Err(bad("unsupported wire version"));
+    }
+    if FrameKind::from_u8(header[6]).is_none() {
+        return Err(bad("unknown frame kind"));
+    }
+    let len = u32::from_le_bytes(header[32..36].try_into().unwrap());
+    if len > MAX_PAYLOAD {
+        return Err(bad("frame payload too large"));
+    }
+    Ok(len as usize)
+}
+
+/// Room a fresh [`FrameBuf`] has: ample for the small frames most
+/// traffic is made of; a larger frame grows it.
+const BUF_LEN: usize = 8 * 1024;
+
+/// Bytes read off a link but not yet decoded. It travels with the link's
+/// read side, so whichever thread reads next continues a frame another
+/// thread began; each `fill` reads as much as the buffer holds, so a
+/// small frame (or several) usually costs one `read`.
+pub(crate) struct FrameBuf {
+    buf: Vec<u8>,
+    /// Undecoded bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        Self {
+            buf: vec![0; BUF_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+}
+
+impl FrameBuf {
+    /// Decode the next whole frame buffered, or `None` until all of its
+    /// bytes have arrived. The payload is copied once, out of the buffer.
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame<Bytes>>> {
+        let Some(header) = self.header() else {
+            return Ok(None);
+        };
+        let end = self.start + HEADER_LEN + check_header(&header)?;
+        if end > self.end {
+            return Ok(None);
+        }
+        let payload = Bytes::copy_from_slice(&self.buf[self.start + HEADER_LEN..end]);
+        let frame = Frame::assemble(&header, payload)?;
+        self.start = end;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            // A giant frame's room is not kept for the small ones after it.
+            if self.buf.len() > 16 * BUF_LEN {
+                self.buf = vec![0; BUF_LEN];
+            }
+        }
+        Ok(Some(frame))
+    }
+
+    /// One `read` from `src` into the free space, after making room for
+    /// the whole of the frame being assembled. Returns the bytes read;
+    /// 0 is the end of the stream. Bytes already buffered are kept
+    /// whatever the read returns.
+    pub(crate) fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        let need = match self.header() {
+            Some(header) => HEADER_LEN + check_header(&header)?,
+            None => HEADER_LEN,
+        };
+        if self.start + need > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if need > self.buf.len() {
+                self.buf.resize(need, 0);
+            }
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The buffered header of the next frame, once all of it is here.
+    fn header(&self) -> Option<[u8; HEADER_LEN]> {
+        self.buf[self.start..self.end]
+            .first_chunk::<HEADER_LEN>()
+            .copied()
+    }
 }
 
 /// Handshake payload: who is dialing, and for which session.
@@ -408,6 +506,113 @@ mod tests {
         let mut cursor = bytes.as_slice();
         assert_eq!(Frame::read_from(&mut cursor).unwrap(), a);
         assert_eq!(Frame::read_from(&mut cursor).unwrap(), b);
+    }
+
+    /// A reader that hands out one byte per `read`, and `WouldBlock`
+    /// (a socket read timeout) before every other byte.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        stall: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.stall = !self.stall;
+            if self.stall {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let Some((&b, rest)) = self.bytes.split_first() else {
+                return Ok(0);
+            };
+            buf[0] = b;
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    /// Decode frames off `src` into `out` until `stop` frames are out,
+    /// retrying stalls, as a link's reader does.
+    fn drain(fb: &mut FrameBuf, src: &mut impl Read, out: &mut Vec<Frame<Bytes>>, stop: usize) {
+        while out.len() < stop {
+            if let Some(f) = fb.next_frame().unwrap() {
+                out.push(f);
+                continue;
+            }
+            match fb.fill(src) {
+                Ok(n) => assert!(n > 0, "stream ended early"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+    }
+
+    #[test]
+    fn frame_buf_decodes_a_trickle_across_a_hand_over() {
+        let big = Frame {
+            payload: (0..70_000u32).map(|i| (i * 7) as u8).collect(),
+            ..data_frame()
+        };
+        let frames = [
+            Frame::control(FrameKind::Heartbeat, 1),
+            data_frame(),
+            big,
+            Frame::control(FrameKind::Bye, 2),
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            wire.extend_from_slice(&f.encode());
+        }
+        let mut src = Trickle {
+            bytes: &wire,
+            stall: false,
+        };
+        let mut fb = FrameBuf::default();
+        let mut got = Vec::new();
+        // The first owner decodes two frames and reads 50 bytes into the
+        // third (larger than a fresh buffer), then the buffer moves to
+        // another thread, as a link's read side does between the reader
+        // pump and a rank.
+        drain(&mut fb, &mut src, &mut got, 2);
+        for _ in 0..100 {
+            let _ = fb.fill(&mut src);
+        }
+        assert!(fb.next_frame().unwrap().is_none(), "mid-frame");
+        let n = frames.len();
+        let (got, rest) = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut got = got;
+                drain(&mut fb, &mut src, &mut got, n);
+                (got, src.bytes.len())
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(rest, 0);
+        assert_eq!(got.len(), frames.len());
+        for (g, f) in got.iter().zip(&frames) {
+            assert_eq!(g.encode(), f.encode(), "{:?}", f.kind);
+        }
+        // Back-to-back frames read whole come out of one `fill`.
+        let mut fb = FrameBuf::default();
+        let mut whole = &wire[..];
+        let mut got = Vec::new();
+        drain(&mut fb, &mut whole, &mut got, frames.len());
+        assert_eq!(got.len(), frames.len());
+    }
+
+    #[test]
+    fn frame_buf_refuses_a_bad_header_before_its_payload() {
+        let mut bytes = data_frame().encode();
+        bytes[0] = b'X';
+        let mut fb = FrameBuf::default();
+        fb.fill(&mut &bytes[..super::HEADER_LEN]).unwrap();
+        let err = fb.next_frame().unwrap_err();
+        assert!(err.to_string().contains("magic"));
+        let mut huge = data_frame().encode();
+        huge[32..36].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        let mut fb = FrameBuf::default();
+        fb.fill(&mut &huge[..]).unwrap();
+        assert!(fb.next_frame().is_err());
+        assert!(fb.fill(&mut &huge[..]).is_err(), "no room is made for it");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!
 //! - [`frame`] — the wire format: 40-byte header, CRC-32, versioned.
 //! - [`transport`] — [`TcpTransport`]: rendezvous, full mesh,
-//!   write-through sends, per-peer reader pumps, heartbeat failure
-//!   detection, reconnect with deterministic backoff.
+//!   write-through sends, reads by the waiting rank or a per-peer
+//!   reader pump, heartbeat failure detection, reconnect with
+//!   deterministic backoff.
 //! - [`flaky`] — [`FlakyTransport`]: frame-level fault injection, the
 //!   wire analog of the thread-mode chaos chokepoint.
 //! - [`launcher`] — [`launch`] and the `pdc-run` binary: the `mpirun`

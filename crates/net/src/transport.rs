@@ -1,6 +1,7 @@
 //! The TCP backend: rank-0 rendezvous, full-mesh link formation,
-//! write-through sends, per-peer reader pumps, heartbeat failure
-//! detection, and reconnect with deterministic backoff.
+//! write-through sends, reads by the waiting rank or a per-peer reader
+//! pump, heartbeat failure detection, and reconnect with deterministic
+//! backoff.
 //!
 //! ## Topology
 //!
@@ -15,7 +16,7 @@
 //! block until every peer slot has a live link — [`TcpTransport::connect`]
 //! returns only on a fully formed mesh.
 //!
-//! ## Sends, reader pumps and heartbeats
+//! ## Sends, reads and heartbeats
 //!
 //! Sends are write-through: the sending thread — the rank itself, the
 //! match-time ack hook, a crash notice, shutdown's [`FrameKind::Bye`]
@@ -23,12 +24,22 @@
 //! under the link's lock. A peer that stops draining blocks a send for
 //! up to the 1 s write timeout; then the link comes down.
 //!
-//! The only per-link thread is the reader pump: it decodes frames,
-//! refreshes the peer's `last_seen` clock on every arrival and delivers
-//! into the mailbox. Readers never write — acks go out at match time
-//! from the receiving rank ([`WireHandle::deliver`]), after its mailbox
-//! lock is released — so two readers cannot block on each other's full
-//! socket buffers.
+//! Reads are leader/follower. A link's read side (its socket and a
+//! buffer of bytes not yet decoded) sits in a slot; whichever thread
+//! reads takes it out for one frame or one read timeout and puts it
+//! back, so hand-over happens between frames. A rank blocked on a wait
+//! that only one link can end ([`Transport::progress`]) reads that link
+//! itself: it decodes and delivers each frame and re-checks its wait,
+//! so a message costs no thread wake-up. Each link also has a reader
+//! pump thread, which reads only while no rank has waited on the link
+//! for one heartbeat interval (the rank keeps the link between
+//! back-to-back waits) and otherwise sleeps until that lease runs out
+//! or a rank gives the link back — as every wait the hook declines does.
+//! Pump and rank run the same frame handler, which refreshes the peer's
+//! `last_seen` clock on every arrival. Readers never write — acks go out
+//! at match time from the receiving rank ([`WireHandle::deliver`]),
+//! after its mailbox lock and the read side are released — so two
+//! readers cannot block on each other's full socket buffers.
 //!
 //! The failure detector runs from [`TcpTransport::connect`] on. Each
 //! heartbeat interval it heartbeats every link idle that long (so a
@@ -47,12 +58,12 @@
 //! In-flight frames on a broken link are lost; that is the wire being
 //! honest, and exactly what `send_reliable` exists to paper over.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -61,7 +72,7 @@ use parking_lot::{Condvar, Mutex};
 use pdc_chaos::RetryPolicy;
 use pdc_mpc::{FrameOutcome, Transport, WireFrame, WireHandle};
 
-use crate::frame::{bad, Frame, FrameKind, Hello, Welcome};
+use crate::frame::{bad, Frame, FrameBuf, FrameKind, Hello, Welcome};
 
 /// Everything [`TcpTransport::connect`] needs to join a world.
 #[derive(Debug, Clone)]
@@ -156,6 +167,18 @@ struct Peer {
     /// peer succeed vacuously — the wire is lossy by contract, and
     /// reliability is layered above.
     link: Mutex<Option<(TcpStream, u64)>>,
+    /// The link's read side between turns (see [`ReadSlot`]).
+    read: Mutex<ReadSlot>,
+    /// Wakes ranks waiting in [`Shared::take_side`] for the read side.
+    returned: Condvar,
+    /// Nanoseconds (since transport epoch) when a rank last waited on
+    /// this link; 0 once it gave the link back to the pump. While this
+    /// is less than one heartbeat interval old the reader pump leaves
+    /// the link to the rank, which reads it whenever it waits.
+    led: AtomicU64,
+    /// The current link's reader pump, woken when a rank gives the link
+    /// back or the transport shuts down.
+    pump: Mutex<Option<Thread>>,
     status: Mutex<PeerStatus>,
     /// Bumped on every (re)install; reader pumps and senders carry
     /// their link's generation so a stale link's failure cannot tear
@@ -167,6 +190,65 @@ struct Peer {
     /// Nanoseconds (since transport epoch) of the last frame written to
     /// this peer; the detector heartbeats links idle for an interval.
     last_sent: AtomicU64,
+}
+
+/// Who may read a link. A thread takes the read side out of the slot
+/// to read one frame (or wait out one read timeout) and puts it back,
+/// so one thread at a time reads a link and hand-over happens between
+/// frames; bytes of a frame begun by one thread travel in the side's
+/// buffer to the next.
+#[derive(Default)]
+struct ReadSlot {
+    /// The read side, while no thread holds it.
+    side: Option<ReadSide>,
+    /// Generation of the link being read; 0 while none is (mesh still
+    /// forming, or after a Bye, link loss or shutdown).
+    generation: u64,
+    /// Ranks waiting in [`Shared::take_side`] for `side`.
+    waiters: usize,
+}
+
+/// A link's read side: its socket and the bytes read off it but not
+/// yet decoded.
+struct ReadSide {
+    stream: TcpStream,
+    generation: u64,
+    buf: FrameBuf,
+}
+
+impl ReadSide {
+    /// The next frame, or `None` once a read has waited out the socket's
+    /// read timeout (one heartbeat interval); a partial frame stays
+    /// buffered either way.
+    fn next_frame(&mut self) -> io::Result<Option<Frame<Bytes>>> {
+        loop {
+            if let Some(frame) = self.buf.next_frame()? {
+                return Ok(Some(frame));
+            }
+            match self.buf.fill(&mut &self.stream) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// What [`Shared::take_side`] found.
+enum Take {
+    /// The read side: the caller reads the link now.
+    Side(ReadSide),
+    /// Another thread holds it.
+    Busy,
+    /// No link is up to read.
+    NoLink,
 }
 
 struct Shared {
@@ -181,8 +263,14 @@ struct Shared {
     /// delivering, and the detector convicts only once it is set.
     handle: Mutex<Option<WireHandle>>,
     handle_cv: Condvar,
+    /// Signalled by every link install; [`Shared::wait_mesh`] waits on it.
+    mesh: Mutex<()>,
+    mesh_cv: Condvar,
     shutting_down: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Frames read by a rank blocked on their link rather than by a
+    /// reader pump (for tests).
+    frames_led: AtomicU64,
 }
 
 /// The real-wire transport: one instance per OS process, hosting one
@@ -217,6 +305,10 @@ impl TcpTransport {
             peers: (0..cfg.size)
                 .map(|_| Peer {
                     link: Mutex::new(None),
+                    read: Mutex::new(ReadSlot::default()),
+                    returned: Condvar::new(),
+                    led: AtomicU64::new(0),
+                    pump: Mutex::new(None),
                     status: Mutex::new(PeerStatus::Vacant),
                     generation: AtomicU64::new(0),
                     last_seen: AtomicU64::new(0),
@@ -230,8 +322,11 @@ impl TcpTransport {
             addrs: Mutex::new(addrs),
             handle: Mutex::new(None),
             handle_cv: Condvar::new(),
+            mesh: Mutex::new(()),
+            mesh_cv: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
+            frames_led: AtomicU64::new(0),
         });
         let deadline = Instant::now() + shared.cfg.connect_timeout;
         if shared.cfg.rank == 0 {
@@ -297,8 +392,7 @@ impl TcpTransport {
         // its next wakeup observes the flag.
         let _ = sh.listener.set_nonblocking(true);
         let _ = TcpStream::connect_timeout(&sh.listen_addr, Duration::from_millis(200));
-        sh.handle_cv.notify_all();
-        sh.join_threads();
+        sh.stop_threads();
     }
 }
 
@@ -369,39 +463,29 @@ impl Transport for TcpTransport {
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&sh.listen_addr, Duration::from_millis(200));
-        sh.handle_cv.notify_all();
-        sh.join_threads();
+        sh.stop_threads();
         pdc_trace::instant(
             "net",
             "transport_shutdown",
             vec![("rank", sh.cfg.rank.into())],
         );
     }
-}
 
-/// A `Read` that turns poll timeouts into patience: retries
-/// `WouldBlock`/`TimedOut` (checking the shutdown flag between polls)
-/// so `Frame::read_from` can never desynchronize on a frame that
-/// arrives split across timeout boundaries.
-struct Patient<'a> {
-    stream: &'a TcpStream,
-    shared: &'a Shared,
-}
-
-impl Read for Patient<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match (&mut &*self.stream).read(buf) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.shared.shutting_down.load(Ordering::Relaxed) {
-                        return Err(io::Error::other("shutting down"));
-                    }
-                }
-                r => return r,
+    fn progress(
+        &self,
+        link: Option<usize>,
+        deadline: Option<Instant>,
+        ready: &mut dyn FnMut() -> bool,
+    ) {
+        let sh = &self.shared;
+        match link {
+            Some(peer) if peer < sh.cfg.size && peer != sh.cfg.rank => {
+                sh.lead(peer, deadline, ready)
             }
+            // A wait several links can end: every pump reads.
+            _ => (0..sh.cfg.size)
+                .filter(|&p| p != sh.cfg.rank)
+                .for_each(|peer| sh.release(peer)),
         }
     }
 }
@@ -478,37 +562,7 @@ impl Shared {
     /// answer each with the complete address book and keep the
     /// connection as the mesh link to that rank.
     fn rendezvous_rank0(self: &Arc<Self>, deadline: Instant) -> io::Result<()> {
-        let np = self.cfg.size;
-        self.listener.set_nonblocking(true)?;
-        let mut pending: Vec<(usize, TcpStream)> = Vec::new();
-        let mut seen = vec![false; np];
-        seen[0] = true;
-        while pending.len() < np - 1 {
-            if Instant::now() > deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("rendezvous: {}/{} ranks checked in", pending.len() + 1, np),
-                ));
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    // A malformed or duplicate Hello just drops the
-                    // connection; the real joiner can still show up.
-                    if let Ok(rank) = self.read_hello(&stream) {
-                        if !seen[rank] {
-                            seen[rank] = true;
-                            pending.push((rank, stream));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.listener.set_nonblocking(false)?;
+        let pending = self.accept_hellos(deadline)?;
         let addrs: Vec<String> = {
             let book = self.addrs.lock();
             book.iter()
@@ -528,6 +582,54 @@ impl Shared {
             self.install_stream(rank, stream)?;
         }
         Ok(())
+    }
+
+    /// Accept until every joiner has said Hello. The accept blocks; at
+    /// the deadline a timer thread wakes it with a throwaway connection
+    /// to our own listener (as `shutdown` wakes the accept loop).
+    fn accept_hellos(&self, deadline: Instant) -> io::Result<Vec<(usize, TcpStream)>> {
+        let np = self.cfg.size;
+        let done = (Mutex::new(false), Condvar::new());
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut finished = done.0.lock();
+                while !*finished && !done.1.wait_until(&mut finished, deadline).timed_out() {}
+                if !*finished {
+                    let _ =
+                        TcpStream::connect_timeout(&self.listen_addr, Duration::from_millis(200));
+                }
+            });
+            let mut pending: Vec<(usize, TcpStream)> = Vec::new();
+            let mut seen = vec![false; np];
+            seen[0] = true;
+            let result = loop {
+                if pending.len() == np - 1 {
+                    break Ok(pending);
+                }
+                if Instant::now() > deadline {
+                    break Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("rendezvous: {}/{} ranks checked in", pending.len() + 1, np),
+                    ));
+                }
+                let stream = match self.listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) => break Err(e),
+                };
+                // A malformed or duplicate Hello (or the timer's wake-up)
+                // just drops the connection; the real joiner can still
+                // show up.
+                if let Ok(rank) = self.read_hello(&stream) {
+                    if !seen[rank] {
+                        seen[rank] = true;
+                        pending.push((rank, stream));
+                    }
+                }
+            };
+            *done.0.lock() = true;
+            done.1.notify_all();
+            result
+        })
     }
 
     /// A joiner's side: poll the rendezvous file, dial rank 0,
@@ -628,8 +730,9 @@ impl Shared {
         Ok(peer)
     }
 
-    /// Block until a link to every peer is up.
+    /// Block until a link to every peer is up; each install signals.
     fn wait_mesh(&self, deadline: Instant) -> io::Result<()> {
+        let mut guard = self.mesh.lock();
         loop {
             let missing = (0..self.cfg.size)
                 .filter(|&p| p != self.cfg.rank && self.peers[p].link.lock().is_none())
@@ -643,7 +746,7 @@ impl Shared {
                     format!("mesh formation: {missing} peers never linked"),
                 ));
             }
-            thread::sleep(Duration::from_millis(5));
+            let _ = self.mesh_cv.wait_until(&mut guard, deadline);
         }
     }
 
@@ -665,8 +768,8 @@ impl Shared {
     }
 
     /// Wire a fresh stream up as the link to `peer`: bump the link
-    /// generation, mark connected, install the socket for senders, and
-    /// spawn the reader pump.
+    /// generation, mark connected, install the socket for senders and
+    /// its read side for readers, and spawn the reader pump.
     fn install_stream(self: &Arc<Self>, peer: usize, stream: TcpStream) -> io::Result<()> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.cfg.heartbeat_interval))?;
@@ -674,109 +777,266 @@ impl Shared {
         // must fail the sender's write, not wedge it.
         stream.set_write_timeout(Some(Duration::from_secs(1)))?;
         let reader = stream.try_clone()?;
+        let p = &self.peers[peer];
         let generation = {
-            let mut status = self.peers[peer].status.lock();
-            let generation = self.peers[peer].generation.fetch_add(1, Ordering::SeqCst) + 1;
+            let mut status = p.status.lock();
+            let generation = p.generation.fetch_add(1, Ordering::SeqCst) + 1;
             *status = PeerStatus::Connected;
             generation
         };
         let now = self.now_ns();
-        self.peers[peer].last_seen.store(now, Ordering::Relaxed);
-        self.peers[peer].last_sent.store(now, Ordering::Relaxed);
-        *self.peers[peer].link.lock() = Some((stream, generation));
+        p.last_seen.store(now, Ordering::Relaxed);
+        p.last_sent.store(now, Ordering::Relaxed);
+        {
+            // A thread still holding the old link's side drops it when it
+            // finds the generation moved on.
+            let mut slot = p.read.lock();
+            slot.side = Some(ReadSide {
+                stream: reader,
+                generation,
+                buf: FrameBuf::default(),
+            });
+            slot.generation = generation;
+            p.returned.notify_all();
+        }
+        *p.link.lock() = Some((stream, generation));
         let sh = Arc::clone(self);
-        let h = thread::spawn(move || sh.reader_pump(peer, generation, reader));
+        let h = thread::spawn(move || sh.reader_pump(peer, generation));
         self.threads.lock().push(h);
+        drop(self.mesh.lock());
+        self.mesh_cv.notify_all();
         Ok(())
     }
 
-    fn reader_pump(self: Arc<Self>, peer: usize, generation: u64, stream: TcpStream) {
-        loop {
-            let frame = match Frame::read_from(&mut Patient {
-                stream: &stream,
-                shared: &self,
-            }) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    // EOF, reset, or a corrupt frame: the stream is no
-                    // longer trustworthy, so the link comes down whole.
-                    if !self.is_shutting_down() {
-                        self.link_down(peer, generation);
-                    }
-                    break;
-                }
-            };
-            let now = self.now_ns();
-            let prev_seen = self.peers[peer].last_seen.swap(now, Ordering::Relaxed);
-            pdc_trace::counter("net", "frames_received", 1);
-            match frame.kind {
-                FrameKind::Data => {
-                    let Some(handle) = self.wait_handle() else {
+    /// Read link `generation` to `peer` whenever no rank has waited on it
+    /// for a heartbeat interval; otherwise sleep until that lease runs
+    /// out or the rank gives the link back. Once the transport stops it
+    /// drains the link regardless, until a read times out (or the peer's
+    /// Bye), and closes it: closing a socket with frames unread would
+    /// reset the connection under the peer's last reads.
+    fn reader_pump(self: Arc<Self>, peer: usize, generation: u64) {
+        let p = &self.peers[peer];
+        *p.pump.lock() = Some(thread::current());
+        let interval = self.cfg.heartbeat_interval;
+        while p.generation.load(Ordering::SeqCst) == generation {
+            let idle = self.since(p.led.load(Ordering::Relaxed));
+            if idle < interval && !self.is_shutting_down() {
+                thread::park_timeout(interval - idle);
+                continue;
+            }
+            match self.take_side(peer, None) {
+                Take::Side(mut side) => {
+                    let got = side.next_frame();
+                    let timed_out = matches!(got, Ok(None));
+                    if !self.after_read(peer, side, got) || timed_out && self.is_shutting_down() {
                         break;
-                    };
-                    let ack = if frame.ack_id != 0 {
-                        let sh = Arc::clone(&self);
-                        let id = frame.ack_id;
-                        let me = self.cfg.rank as u32;
-                        Some(Box::new(move || {
-                            let mut f = Frame::control(FrameKind::Ack, me);
-                            f.ack_id = id;
-                            sh.send(peer, &f);
-                            pdc_trace::counter("net", "acks_sent", 1);
-                        }) as Box<dyn FnOnce() + Send>)
-                    } else {
-                        None
-                    };
-                    handle.deliver(
-                        WireFrame {
-                            comm_id: frame.comm_id,
-                            src_group: frame.src as usize,
-                            tag: frame.tag,
-                            payload: Bytes::from(frame.payload),
-                            ack_id: frame.ack_id,
-                            overtake: frame.overtake,
-                            exempt: frame.retransmit,
-                        },
-                        ack,
-                    );
-                }
-                FrameKind::Ack => {
-                    let Some(handle) = self.wait_handle() else {
-                        break;
-                    };
-                    handle.complete_ack(frame.ack_id);
-                }
-                FrameKind::Heartbeat => {
-                    // The last_seen refresh was the point; additionally
-                    // record how long this link had been silent. The
-                    // distribution's tail is the failure detector's
-                    // noise floor — a p99 near the timeout means the
-                    // detector is one hiccup away from a false verdict.
-                    if prev_seen != 0 && now > prev_seen {
-                        pdc_trace::hist("net", "heartbeat_gap", now - prev_seen);
                     }
                 }
-                FrameKind::Dead => {
-                    let Some(handle) = self.wait_handle() else {
-                        break;
-                    };
-                    if handle.mark_dead(frame.src as usize) {
-                        pdc_trace::counter("net", "crash_notices", 1);
-                    }
-                }
-                FrameKind::Bye => {
-                    *self.peers[peer].status.lock() = PeerStatus::Closed;
-                    *self.peers[peer].link.lock() = None;
-                    break;
-                }
-                FrameKind::Hello | FrameKind::Welcome => {
-                    // Handshake frames mid-stream: protocol violation.
-                    self.link_down(peer, generation);
-                    break;
-                }
+                Take::Busy => thread::park_timeout(interval),
+                Take::NoLink => break,
             }
         }
+        if self.is_shutting_down() {
+            self.close_read(peer);
+        }
         pdc_trace::flush_thread();
+    }
+
+    /// How long ago `ns` (since the transport epoch) was; a zero `ns`
+    /// (never) is long ago.
+    fn since(&self, ns: u64) -> Duration {
+        if ns == 0 {
+            return Duration::MAX;
+        }
+        Duration::from_nanos(self.now_ns().saturating_sub(ns))
+    }
+
+    /// A rank blocked on `peer`'s link reads it (see
+    /// [`Transport::progress`]): frame by frame until `ready`, taking the
+    /// read side from whoever holds it at a frame boundary. Declines —
+    /// giving the link back to the pump — when no link is up, the
+    /// transport is stopping, or the deadline is nearer than one read
+    /// timeout.
+    fn lead(
+        self: &Arc<Self>,
+        peer: usize,
+        deadline: Option<Instant>,
+        ready: &mut dyn FnMut() -> bool,
+    ) {
+        let p = &self.peers[peer];
+        let interval = self.cfg.heartbeat_interval;
+        loop {
+            if ready() {
+                return;
+            }
+            let now = Instant::now();
+            let turn_ends = now.checked_add(interval);
+            let near = match (deadline, turn_ends) {
+                (Some(dl), Some(end)) => dl < end,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if near || self.is_shutting_down() {
+                break;
+            }
+            p.led.store(self.now_ns().max(1), Ordering::Relaxed);
+            match self.take_side(peer, turn_ends) {
+                Take::Side(mut side) => {
+                    let got = side.next_frame();
+                    if matches!(got, Ok(Some(_))) {
+                        self.frames_led.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.after_read(peer, side, got);
+                }
+                Take::Busy => {}
+                Take::NoLink => break,
+            }
+        }
+        self.release(peer);
+    }
+
+    /// Give `peer`'s link back to its reader pump at once: a rank no
+    /// longer reads it while it waits.
+    fn release(&self, peer: usize) {
+        let p = &self.peers[peer];
+        if p.led.swap(0, Ordering::Relaxed) != 0 {
+            if let Some(pump) = p.pump.lock().as_ref() {
+                pump.unpark();
+            }
+        }
+    }
+
+    /// Take `peer`'s read side. If another thread holds it, a rank
+    /// (`until` set) waits for its return until `until` and then reports
+    /// `Busy` all the same: the frame handed back may be the one it
+    /// waits for, so it checks its wait before it reads.
+    fn take_side(&self, peer: usize, until: Option<Instant>) -> Take {
+        let p = &self.peers[peer];
+        let mut slot = p.read.lock();
+        if let Some(side) = slot.side.take() {
+            return Take::Side(side);
+        }
+        if slot.generation == 0 {
+            return Take::NoLink;
+        }
+        if let Some(until) = until {
+            slot.waiters += 1;
+            let _ = p.returned.wait_until(&mut slot, until);
+            slot.waiters -= 1;
+        }
+        Take::Busy
+    }
+
+    /// Finish one turn on a link, on the pump or a rank alike: hand the
+    /// frame read (if any) to [`Shared::on_frame`] and put the side back,
+    /// or retire it when the link ended. Returns whether it is still read.
+    fn after_read(
+        self: &Arc<Self>,
+        peer: usize,
+        side: ReadSide,
+        got: io::Result<Option<Frame<Bytes>>>,
+    ) -> bool {
+        let generation = side.generation;
+        let open = match got {
+            Ok(None) => true,
+            Ok(Some(frame)) => self.on_frame(peer, generation, frame),
+            Err(_) => {
+                // EOF, reset, or a corrupt frame: the stream is no longer
+                // trustworthy, so the link comes down whole.
+                if !self.is_shutting_down() {
+                    self.link_down(peer, generation);
+                }
+                false
+            }
+        };
+        let p = &self.peers[peer];
+        let mut slot = p.read.lock();
+        if slot.generation == generation {
+            if open {
+                slot.side = Some(side);
+            } else {
+                slot.generation = 0;
+            }
+        }
+        if slot.waiters > 0 {
+            p.returned.notify_all();
+        }
+        open
+    }
+
+    /// Handle one frame of link `generation` to `peer`, whichever thread
+    /// read it. Returns `false` when the link ends with it.
+    fn on_frame(self: &Arc<Self>, peer: usize, generation: u64, frame: Frame<Bytes>) -> bool {
+        let now = self.now_ns();
+        let prev_seen = self.peers[peer].last_seen.swap(now, Ordering::Relaxed);
+        pdc_trace::counter("net", "frames_received", 1);
+        match frame.kind {
+            FrameKind::Data => {
+                let Some(handle) = self.wait_handle() else {
+                    return false;
+                };
+                let ack = if frame.ack_id != 0 {
+                    let sh = Arc::clone(self);
+                    let id = frame.ack_id;
+                    let me = self.cfg.rank as u32;
+                    Some(Box::new(move || {
+                        let mut f = Frame::control(FrameKind::Ack, me);
+                        f.ack_id = id;
+                        sh.send(peer, &f);
+                        pdc_trace::counter("net", "acks_sent", 1);
+                    }) as Box<dyn FnOnce() + Send>)
+                } else {
+                    None
+                };
+                handle.deliver(
+                    WireFrame {
+                        comm_id: frame.comm_id,
+                        src_group: frame.src as usize,
+                        tag: frame.tag,
+                        payload: frame.payload,
+                        ack_id: frame.ack_id,
+                        overtake: frame.overtake,
+                        exempt: frame.retransmit,
+                    },
+                    ack,
+                );
+            }
+            FrameKind::Ack => {
+                let Some(handle) = self.wait_handle() else {
+                    return false;
+                };
+                handle.complete_ack(frame.ack_id);
+            }
+            FrameKind::Heartbeat => {
+                // The last_seen refresh was the point; additionally
+                // record how long this link had been silent. The
+                // distribution's tail is the failure detector's
+                // noise floor — a p99 near the timeout means the
+                // detector is one hiccup away from a false verdict.
+                if prev_seen != 0 && now > prev_seen {
+                    pdc_trace::hist("net", "heartbeat_gap", now - prev_seen);
+                }
+            }
+            FrameKind::Dead => {
+                let Some(handle) = self.wait_handle() else {
+                    return false;
+                };
+                if handle.mark_dead(frame.src as usize) {
+                    pdc_trace::counter("net", "crash_notices", 1);
+                }
+            }
+            FrameKind::Bye => {
+                *self.peers[peer].status.lock() = PeerStatus::Closed;
+                *self.peers[peer].link.lock() = None;
+                return false;
+            }
+            FrameKind::Hello | FrameKind::Welcome => {
+                // Handshake frames mid-stream: protocol violation.
+                self.link_down(peer, generation);
+                return false;
+            }
+        }
+        true
     }
 
     /// A sender or the reader pump of link generation `generation` saw
@@ -912,10 +1172,34 @@ impl Shared {
         pdc_trace::flush_thread();
     }
 
-    /// Join every thread this transport ever spawned. Reader pumps and
-    /// the detector notice the shutdown flag within one heartbeat
+    /// After the shutdown flag is set: wake and join every thread this
+    /// transport ever spawned, then close the links' read sides. Reader
+    /// pumps and the detector notice the flag within one heartbeat
     /// interval (all socket reads are timeout-bounded); threads spawned
     /// *while* draining (a last reconnect) are caught by re-checking.
+    fn stop_threads(&self) {
+        self.handle_cv.notify_all();
+        for p in &self.peers {
+            if let Some(pump) = p.pump.lock().as_ref() {
+                pump.unpark();
+            }
+        }
+        self.join_threads();
+        for peer in 0..self.cfg.size {
+            self.close_read(peer);
+        }
+    }
+
+    /// Drop `peer`'s read side, closing the socket once its write side
+    /// is gone too.
+    fn close_read(&self, peer: usize) {
+        let p = &self.peers[peer];
+        let mut slot = p.read.lock();
+        slot.side = None;
+        slot.generation = 0;
+        p.returned.notify_all();
+    }
+
     fn join_threads(&self) {
         loop {
             let handle = self.threads.lock().pop();
@@ -1246,6 +1530,227 @@ mod tests {
                 },
             );
         });
+    }
+
+    /// Frames `transport`'s rank has read itself while blocked.
+    fn led(transport: &TcpTransport) -> u64 {
+        transport.shared.frames_led.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn handover_round_trips_are_read_by_the_waiting_rank() {
+        const TRIPS: u64 = 2000;
+        let counts = watchdog(|| {
+            with_mesh(
+                "lead",
+                2,
+                |_| {},
+                |rank, transport| {
+                    let comm =
+                        World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                    for i in 0..TRIPS {
+                        if rank == 0 {
+                            comm.send(1, 1, &i).unwrap();
+                            assert_eq!(
+                                comm.recv::<u64>(Source::Rank(1), TagSel::Tag(2)).unwrap(),
+                                i
+                            );
+                        } else {
+                            let got: u64 = comm.recv(Source::Rank(0), TagSel::Tag(1)).unwrap();
+                            comm.send(0, 2, &got).unwrap();
+                        }
+                    }
+                    let led = led(&transport);
+                    comm.barrier().unwrap();
+                    transport.shutdown();
+                    led
+                },
+            )
+        });
+        // Each rank received TRIPS data frames. The pump reads one only
+        // when its rank has not waited on the link for a heartbeat
+        // interval (100 ms), which a busy host may cause now and then.
+        for (rank, led) in counts.into_iter().enumerate() {
+            assert!(
+                led >= TRIPS * 95 / 100,
+                "rank {rank} read {led} of {TRIPS} frames"
+            );
+        }
+    }
+
+    #[test]
+    fn handover_receive_started_while_the_pump_reads_completes() {
+        let slow_reads = |cfg: &mut NetConfig| {
+            cfg.heartbeat_interval = Duration::from_secs(1);
+            cfg.heartbeat_timeout = Duration::from_secs(20);
+        };
+        watchdog(move || {
+            with_mesh("pumping", 2, slow_reads, |rank, transport| {
+                let comm = World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                if rank == 0 {
+                    for i in 0..2u64 {
+                        thread::sleep(Duration::from_millis(200));
+                        comm.send(1, 3, &i).unwrap();
+                    }
+                } else {
+                    // No rank has waited on the link yet, so its pump sits
+                    // in a one-second read when the receive starts; the
+                    // frame hands the link over well before that read
+                    // would time out.
+                    thread::sleep(Duration::from_millis(50));
+                    let start = Instant::now();
+                    assert_eq!(
+                        comm.recv::<u64>(Source::Rank(0), TagSel::Tag(3)).unwrap(),
+                        0
+                    );
+                    assert!(
+                        start.elapsed() < Duration::from_millis(900),
+                        "{:?}",
+                        start.elapsed()
+                    );
+                    assert_eq!(led(&transport), 0, "the pump read the first frame");
+                    // The rank keeps the link for the next receive.
+                    assert_eq!(
+                        comm.recv::<u64>(Source::Rank(0), TagSel::Tag(3)).unwrap(),
+                        1
+                    );
+                    assert_eq!(led(&transport), 1, "the rank read the second frame");
+                }
+                comm.barrier().unwrap();
+                transport.shutdown();
+            });
+        });
+    }
+
+    #[test]
+    fn handover_short_timeout_on_a_silent_link_is_exact() {
+        let slow_reads = |cfg: &mut NetConfig| {
+            cfg.heartbeat_interval = Duration::from_secs(1);
+            cfg.heartbeat_timeout = Duration::from_secs(20);
+        };
+        watchdog(move || {
+            with_mesh("silent", 2, slow_reads, |rank, transport| {
+                let comm = World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                // A led receive first, so the rank holds the link.
+                if rank == 0 {
+                    comm.send(1, 1, &0u8).unwrap();
+                } else {
+                    comm.recv::<u8>(Source::Rank(0), TagSel::Tag(1)).unwrap();
+                    // Nothing ever comes on tag 2. A 5 ms wait must not
+                    // block in a one-second read.
+                    let waits: Vec<Duration> = (0..5)
+                        .map(|_| {
+                            let start = Instant::now();
+                            let err = comm
+                                .recv_timeout::<u8>(
+                                    Source::Rank(0),
+                                    TagSel::Tag(2),
+                                    Duration::from_millis(5),
+                                )
+                                .unwrap_err();
+                            assert!(matches!(err, MpcError::Timeout { .. }), "{err:?}");
+                            start.elapsed()
+                        })
+                        .collect();
+                    let best = *waits.iter().min().unwrap();
+                    assert!(best < Duration::from_millis(20), "{waits:?}");
+                    assert!(
+                        waits.iter().all(|w| *w < Duration::from_millis(500)),
+                        "{waits:?}"
+                    );
+                }
+                comm.barrier().unwrap();
+                transport.shutdown();
+            });
+        });
+    }
+
+    #[test]
+    fn handover_polls_hand_the_link_back_to_the_pump() {
+        let slow_reads = |cfg: &mut NetConfig| {
+            cfg.heartbeat_interval = Duration::from_secs(1);
+            cfg.heartbeat_timeout = Duration::from_secs(20);
+        };
+        watchdog(move || {
+            with_mesh("poll", 2, slow_reads, |rank, transport| {
+                let comm = World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                if rank == 0 {
+                    comm.send(1, 1, &0u8).unwrap();
+                    thread::sleep(Duration::from_millis(50));
+                    comm.send(1, 2, &0u8).unwrap();
+                } else {
+                    // The led receive leaves the rank holding the link for
+                    // a second; polling must not wait that out.
+                    comm.recv::<u8>(Source::Rank(0), TagSel::Tag(1)).unwrap();
+                    let start = Instant::now();
+                    while comm.iprobe(Source::Rank(0), TagSel::Tag(2)).is_none() {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    assert!(
+                        start.elapsed() < Duration::from_millis(700),
+                        "{:?}",
+                        start.elapsed()
+                    );
+                    comm.recv::<u8>(Source::Rank(0), TagSel::Tag(2)).unwrap();
+                }
+                comm.barrier().unwrap();
+                transport.shutdown();
+            });
+        });
+    }
+
+    #[test]
+    fn handover_acks_reach_a_leading_sender() {
+        const SENDS: u64 = 100;
+        let counts = watchdog(|| {
+            with_mesh(
+                "acks",
+                2,
+                |_| {},
+                |rank, transport| {
+                    let comm =
+                        World::new(2).attach(transport.clone() as Arc<dyn pdc_mpc::Transport>);
+                    let mut sum = 0;
+                    for i in 0..SENDS {
+                        if rank == 0 {
+                            comm.ssend(1, 1, &i).unwrap();
+                            comm.send_reliable(1, 2, &i).unwrap();
+                        } else {
+                            sum += comm.recv::<u64>(Source::Rank(0), TagSel::Tag(1)).unwrap();
+                            sum += comm.recv::<u64>(Source::Rank(0), TagSel::Tag(2)).unwrap();
+                        }
+                    }
+                    let led = led(&transport);
+                    comm.barrier().unwrap();
+                    transport.shutdown();
+                    (led, sum)
+                },
+            )
+        });
+        // Rank 0 waited for every ack itself and read most of them.
+        assert!(
+            counts[0].0 >= SENDS,
+            "rank 0 read {} of {} acks",
+            counts[0].0,
+            2 * SENDS
+        );
+        assert_eq!(counts[1].1, SENDS * (SENDS - 1));
+    }
+
+    #[test]
+    fn rank0_alone_gives_up_at_its_connect_budget() {
+        let (dir, session) = scratch("alone");
+        let mut cfg = NetConfig::new(0, 2, session, dir.join("rendezvous.addr"));
+        cfg.connect_timeout = Duration::from_millis(200);
+        let start = Instant::now();
+        let err = watchdog(move || TcpTransport::connect(cfg).unwrap_err());
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
