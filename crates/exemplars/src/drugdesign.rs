@@ -11,20 +11,23 @@
 //! passing).
 //!
 //! Both message-passing runs share one master-worker deal: rank 0 hands
-//! out ligand indices, and each result a worker returns doubles as its
-//! request for the next task. Fault-free ([`run_mpc`]), every worker
-//! holds two tasks at a time: a ligand costs about as much to score as a
-//! message round trip, so with the next task already queued a worker
-//! only scores. Under a fault plan ([`run_mpc_recoverable`]) the same
-//! loop sends reliably, checkpoints each score and deals a dead worker's
-//! tasks to the survivors, one task per worker: a reliable send blocks
-//! until its receiver matches it, so with two the master could block
-//! dealing a worker its second task while that worker blocks returning
-//! its first result. The master also holds back queued tasks until every
-//! doomed worker has been dealt the task its crash point names, so each
-//! scheduled crash fires whatever the schedule.
+//! out chunks of ligands, and each result a worker returns doubles as its
+//! request for the next chunk. Fault-free ([`run_mpc`]), chunks follow
+//! the guided rule of the shared-memory `schedule(guided)`: large while
+//! much is queued, one ligand at the tail. A run of 1,500 ligands on one
+//! worker then takes 12 tasks, not 1,500, and every worker holds two
+//! tasks at a time, so with the next one already queued it only scores.
+//! Under a fault plan ([`run_mpc_recoverable`]) the same loop deals one
+//! ligand per task, sends reliably, checkpoints each score and deals a
+//! dead worker's tasks to the survivors, one task per worker: a reliable
+//! send blocks until its receiver matches it, so with two the master
+//! could block dealing a worker its second task while that worker blocks
+//! returning its first result. The master also holds back queued tasks
+//! until every doomed worker has been dealt the task its crash point
+//! names, so each scheduled crash fires whatever the schedule.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -33,6 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use pdc_chaos::{ChaosContext, CheckpointStore};
 use pdc_mpc::{Comm, MpcError, Source, World};
+use pdc_shmem::schedule::guided_chunk;
 use pdc_shmem::{parallel_for, Schedule, Team};
 
 use crate::recovery::{RecoveredRun, POLL};
@@ -40,8 +44,9 @@ use crate::recovery::{RecoveredRun, POLL};
 /// Alphabet the generator draws from (as in the CSinParallel original).
 const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
 
-/// Master-worker tags: the master's task index (`-1` dismisses) and a
-/// worker's `(index, score)` result.
+/// Master-worker tags: the master's task, a `(start, end)` range of
+/// ligand indices (an empty range dismisses), and a worker's
+/// `(start, scores)` result.
 const TAG_TASK: i32 = 1;
 const TAG_RESULT: i32 = 2;
 
@@ -206,16 +211,17 @@ mod parking_lot_free {
 /// holds one task per worker (see the module docs).
 const DEPTH: usize = 2;
 
-/// Message-passing version: the master-worker pattern, pipelined. Rank 0
-/// primes every worker with up to `DEPTH` (two) ligand indices; each
-/// `(index, score)` result a worker returns doubles as its request for
-/// more, which the master answers with the next undealt index. The deal
-/// stays dynamic (a fast worker asks more often) but a worker never waits
-/// a round trip for work: while it scores one ligand, the next is
-/// already in its mailbox. That is two messages per ligand. Once every
-/// score is in, the master dismisses each worker with `-1`, assembles the
-/// result and broadcasts it. [`run_mpc_recoverable`] runs the same deal
-/// under a fault plan.
+/// Message-passing version: the master-worker pattern, pipelined and
+/// guided. Rank 0 primes every worker with up to `DEPTH` (two) tasks;
+/// each `(start, scores)` result a worker returns doubles as its request
+/// for more, which the master answers with the next undealt chunk. A
+/// chunk is the guided share of what is still queued, `queued / (DEPTH ×
+/// workers)` ligands but at least one, so the deal stays dynamic (a fast
+/// worker asks more often, and the tail goes out one ligand at a time)
+/// while a run sends a few dozen messages, not two per ligand. Once every
+/// score is in, the master dismisses each worker with an empty range,
+/// assembles the result and broadcasts it. [`run_mpc_recoverable`] runs
+/// the same deal under a fault plan.
 pub fn run_mpc(config: &DrugConfig, np: usize) -> DrugResult {
     assert!(np >= 1);
     if np == 1 {
@@ -228,10 +234,10 @@ pub fn run_mpc(config: &DrugConfig, np: usize) -> DrugResult {
 /// Chaos-hardened master-worker run: the deal of [`run_mpc`] in one world
 /// launch under the fault plan armed in `ctx`.
 ///
-/// Each worker holds one task at a time, and the master tracks which
-/// ligand index is outstanding on which worker. When a worker's crash
-/// point fires, the master deals its stranded task to a survivor, or
-/// scores the rest itself if no worker is left. Every message rides
+/// Each task is one ligand, each worker holds one task at a time, and the
+/// master tracks which ligand index is outstanding on which worker. When
+/// a worker's crash point fires, the master deals its stranded task to a
+/// survivor, or scores the rest itself if no worker is left. Every message rides
 /// [`Comm::send_reliable`], so dropped deals and results are
 /// retransmitted; the master deduplicates results by ligand index, since
 /// at-least-once delivery may repeat them, and checkpoints each new score
@@ -295,17 +301,19 @@ fn drug_key(i: usize) -> String {
 }
 
 /// The master-worker deal both message-passing runs share. Rank 0 deals
-/// ligand indices on `TAG_TASK`, each worker answers every task with an
-/// `(index, score)` on `TAG_RESULT` that also asks for the next, and `-1`
-/// dismisses a worker. Every rank that finishes returns the broadcast
-/// result; a worker that crashed or lost the master returns `None`.
+/// ranges of ligand indices on `TAG_TASK`, each worker answers every task
+/// with a `(start, scores)` on `TAG_RESULT` that also asks for the next,
+/// and an empty range dismisses a worker. Every rank that finishes
+/// returns the broadcast result; a worker that crashed or lost the master
+/// returns `None`.
 ///
 /// Whether the world has a fault injector decides the rest. Without one,
-/// sends are plain, receives block, each worker holds [`DEPTH`] tasks and
-/// nothing is checkpointed (`store` is `None`). With one, sends are
-/// reliable, each worker holds one task, the master polls for results,
-/// requeues the tasks of dead workers and checkpoints each new score into
-/// `store`, and the survivors shrink before the broadcast.
+/// sends are plain, receives block, each worker holds [`DEPTH`] tasks of
+/// guided size and nothing is checkpointed (`store` is `None`). With one,
+/// every task is one ligand, sends are reliable, each worker holds one
+/// task, the master polls for results, requeues the tasks of dead workers
+/// and checkpoints each new score into `store`, and the survivors shrink
+/// before the broadcast.
 fn deal(
     config: &DrugConfig,
     ligands: &[String],
@@ -318,14 +326,16 @@ fn deal(
         loop {
             // A receive from rank 0 fails if the master dies, so a worker
             // never polls.
-            let task: i64 = comm.recv(0, TAG_TASK).ok()?;
-            if task < 0 {
+            let (start, end): (usize, usize) = comm.recv(0, TAG_TASK).ok()?;
+            if start >= end {
                 break;
             }
             comm.chaos_step().ok()?; // this worker's crash point: unwind
-            let i = task as usize;
-            let result = (i, score(&ligands[i], &config.protein));
-            post(comm, faulted, 0, TAG_RESULT, &result).ok()?;
+            let scores: Vec<usize> = ligands[start..end]
+                .iter()
+                .map(|l| score(l, &config.protein))
+                .collect();
+            post(comm, faulted, 0, TAG_RESULT, &(start, scores)).ok()?;
         }
         return finish(comm, faulted, None);
     }
@@ -352,13 +362,13 @@ fn deal(
         })
         .collect();
     // Per worker: the tasks it holds unanswered, and how many it was dealt.
-    let mut held: Vec<Vec<usize>> = vec![Vec::new(); size];
+    let mut held: Vec<Vec<Range<usize>>> = vec![Vec::new(); size];
     let mut dealt = vec![0u64; size];
     while missing > 0 {
         // A dead worker's tasks go back on the queue.
         for (w, tasks) in held.iter_mut().enumerate() {
             if !alive(w) {
-                for i in tasks.drain(..) {
+                for i in tasks.drain(..).flat_map(Range::rev) {
                     queue.push_front(i);
                 }
             }
@@ -377,12 +387,25 @@ fn deal(
                 if held[w].len() >= depth || !alive(w) || held_back {
                     continue;
                 }
-                let Some(i) = queue.pop_front() else { break };
-                if post(comm, faulted, w, TAG_TASK, &(i as i64)).is_ok() {
-                    held[w].push(i);
+                // A fault-free queue is one ascending run, and a faulted deal
+                // takes one ligand, so the first `len` queued indices are
+                // `start..start + len`.
+                let Some(&start) = queue.front() else { break };
+                let len = if faulted {
+                    1
+                } else {
+                    guided_chunk(queue.len(), DEPTH * (size - 1), 1)
+                };
+                queue.drain(..len);
+                let task = start..start + len;
+                if post(comm, faulted, w, TAG_TASK, &(task.start, task.end)).is_ok() {
+                    held[w].push(task);
                     dealt[w] += 1;
                 } else {
-                    queue.push_front(i); // the worker died: requeue
+                    // The worker died: requeue.
+                    for i in task.rev() {
+                        queue.push_front(i);
+                    }
                 }
             }
         }
@@ -396,25 +419,27 @@ fn deal(
             break;
         }
         let got = if faulted {
-            comm.recv_timeout::<(usize, usize)>(Source::Any, TAG_RESULT, POLL)
+            comm.recv_timeout::<(usize, Vec<usize>)>(Source::Any, TAG_RESULT, POLL)
         } else {
-            comm.recv_status::<(usize, usize)>(Source::Any, TAG_RESULT)
+            comm.recv_status::<(usize, Vec<usize>)>(Source::Any, TAG_RESULT)
         };
-        let ((i, s), st) = match got {
+        let ((start, scored), st) = match got {
             Ok(got) => got,
             Err(_) if faulted => continue, // look for dead workers again
             Err(e) => panic!("drug-design deal: {e}"),
         };
         // Only a result for a task the worker holds earns it another.
-        if let Some(pos) = held[st.source].iter().position(|&x| x == i) {
+        if let Some(pos) = held[st.source].iter().position(|t| t.start == start) {
             held[st.source].remove(pos);
         }
-        missing -= bank(&mut scores, store, i, s) as usize;
+        for (i, s) in (start..).zip(scored) {
+            missing -= bank(&mut scores, store, i, s) as usize;
+        }
     }
     // Per-pair order is FIFO, so each dismissal lands behind the
     // worker's last task.
     for w in (1..size).filter(|&w| alive(w)) {
-        let _ = post(comm, faulted, w, TAG_TASK, &-1i64);
+        let _ = post(comm, faulted, w, TAG_TASK, &(0usize, 0usize));
     }
     let scores: Vec<usize> = scores
         .into_iter()
@@ -542,83 +567,110 @@ mod tests {
     #[test]
     fn mpc_matches_seq() {
         // 0..=5 ligands leave some primed slots empty (zero ligands: every
-        // worker is only dismissed); 40 keeps every worker busy.
-        for num_ligands in [0, 1, 2, 3, 4, 5, 40] {
+        // worker is only dismissed), and at np 3 and 5 the population is
+        // smaller than DEPTH × workers; 40 keeps every worker busy.
+        let mut cases: Vec<(usize, usize)> = [0, 1, 2, 3, 4, 5, 40]
+            .into_iter()
+            .flat_map(|l| [1, 2, 3, 5].map(|np| (l, np)))
+            .collect();
+        // The perfbench population: guided chunks of hundreds of ligands.
+        cases.extend([(1500, 2), (1500, 3)]);
+        for (num_ligands, np) in cases {
             let config = DrugConfig {
                 num_ligands,
                 ..DrugConfig::default()
             };
             let want = run_seq(&config);
-            for np in [1, 2, 3, 5] {
-                let what = format!("run_mpc(num_ligands={num_ligands}, np={np})");
-                let c = config.clone();
-                let got = watchdog(what.clone(), move || run_mpc(&c, np));
-                assert_eq!(got, want, "{what}");
-            }
+            let what = format!("run_mpc(num_ligands={num_ligands}, np={np})");
+            let got = watchdog(what.clone(), move || run_mpc(&config, np));
+            assert_eq!(got, want, "{what}");
         }
     }
 
+    /// Tasks a fault-free deal of `l` ligands among `workers` sends: each
+    /// takes the guided share of what is still queued.
+    fn guided_tasks(l: usize, workers: usize) -> usize {
+        let (mut queued, mut tasks) = (l, 0);
+        while queued > 0 {
+            queued -= guided_chunk(queued, DEPTH * workers, 1);
+            tasks += 1;
+        }
+        tasks
+    }
+
     #[test]
-    fn mpc_sends_one_task_and_one_result_per_ligand() {
-        let l = 40;
-        let config = DrugConfig {
-            num_ligands: l,
-            ..DrugConfig::default()
-        };
-        for np in [2, 3, 5] {
-            // The recoverable run under an empty plan deals the same messages.
-            for recoverable in [false, true] {
-                let what = format!("np={np} recoverable={recoverable}");
-                let log = CommLog::new();
-                let c = config.clone();
-                let l2 = log.clone();
-                watchdog(what.clone(), move || {
-                    record_into(&l2, || {
-                        if recoverable {
-                            let ctx = ChaosContext::new(FaultPlan::new(5));
-                            run_mpc_recoverable(&c, np, &ctx).value
-                        } else {
-                            run_mpc(&c, np)
-                        }
-                    })
-                });
-                let runs = log.take();
-                assert_eq!(runs.len(), 1, "{what}");
-                let ops = &runs[0].ops;
-                let user_sends = ops
+    fn mpc_deals_guided_chunks_and_one_result_per_task() {
+        // Fault-free: T guided tasks, a result per task and a dismissal per
+        // worker. The recoverable run under an empty plan deals one ligand
+        // per task: a task and a result per ligand.
+        assert_eq!([1, 2, 4].map(|w| guided_tasks(40, w)), [7, 14, 23]);
+        assert_eq!(guided_tasks(1500, 1), 12, "the perfbench population");
+        let mut cases: Vec<(usize, usize, bool)> = [2, 3, 5]
+            .into_iter()
+            .flat_map(|np| [(40, np, false), (40, np, true)])
+            .collect();
+        cases.push((1500, 2, false));
+        for (l, np, recoverable) in cases {
+            let config = DrugConfig {
+                num_ligands: l,
+                ..DrugConfig::default()
+            };
+            let what = format!("l={l} np={np} recoverable={recoverable}");
+            let log = CommLog::new();
+            let l2 = log.clone();
+            watchdog(what.clone(), move || {
+                record_into(&l2, || {
+                    if recoverable {
+                        let ctx = ChaosContext::new(FaultPlan::new(5));
+                        run_mpc_recoverable(&config, np, &ctx).value
+                    } else {
+                        run_mpc(&config, np)
+                    }
+                })
+            });
+            let runs = log.take();
+            assert_eq!(runs.len(), 1, "{what}");
+            let ops = &runs[0].ops;
+            let user_sends = ops
+                .iter()
+                .filter(|o| matches!(o.kind, OpKind::Send { user: true, .. }))
+                .count();
+            let tasks = if recoverable {
+                l
+            } else {
+                guided_tasks(l, np - 1)
+            };
+            assert_eq!(user_sends, 2 * tasks + (np - 1), "{what}");
+            assert!(
+                !ops.iter()
+                    .any(|o| matches!(o.kind, OpKind::Send { tag: 0, .. })),
+                "{what}: a message on the retired ready tag"
+            );
+            let mut received = 0;
+            for w in 1..np {
+                let got = ops
                     .iter()
-                    .filter(|o| matches!(o.kind, OpKind::Send { user: true, .. }))
+                    .filter(|o| {
+                        o.rank == w && matches!(o.kind, OpKind::RecvDone { tag: TAG_TASK, .. })
+                    })
                     .count();
-                // A task and a result per ligand, a dismissal per worker.
-                assert_eq!(user_sends, 2 * l + (np - 1), "{what}");
-                assert!(
-                    !ops.iter()
-                        .any(|o| matches!(o.kind, OpKind::Send { tag: 0, .. })),
-                    "{what}: a message on the retired ready tag"
-                );
-                for w in 1..np {
-                    let tasks = ops
-                        .iter()
-                        .filter(|o| {
-                            o.rank == w && matches!(o.kind, OpKind::RecvDone { tag: TAG_TASK, .. })
-                        })
-                        .count();
-                    let results = ops
-                        .iter()
-                        .filter(|o| {
-                            o.rank == w
-                                && matches!(
-                                    o.kind,
-                                    OpKind::Send {
-                                        tag: TAG_RESULT,
-                                        ..
-                                    }
-                                )
-                        })
-                        .count();
-                    assert_eq!(results + 1, tasks, "{what} worker {w}: one result per task");
-                }
+                let results = ops
+                    .iter()
+                    .filter(|o| {
+                        o.rank == w
+                            && matches!(
+                                o.kind,
+                                OpKind::Send {
+                                    tag: TAG_RESULT,
+                                    ..
+                                }
+                            )
+                    })
+                    .count();
+                assert_eq!(results + 1, got, "{what} worker {w}: one result per task");
+                received += got;
             }
+            assert_eq!(received, tasks + (np - 1), "{what}: tasks and dismissals");
         }
     }
 

@@ -108,6 +108,16 @@ impl Schedule {
     }
 }
 
+/// The guided rule: the next chunk out of `remaining` iterations shared
+/// by `parts` claimants is `remaining / parts`, floored at `min_chunk` and
+/// capped at `remaining`. Chunks start large, so claims are few, and
+/// shrink toward `min_chunk` at the tail, so the last claims balance the
+/// load. [`Schedule::Guided`] claims with it, and so does the drug-design
+/// exemplar's message-passing deal.
+pub fn guided_chunk(remaining: usize, parts: usize, min_chunk: usize) -> usize {
+    (remaining / parts.max(1)).max(min_chunk).min(remaining)
+}
+
 /// Shared work cursor implementing dynamic and guided chunk claiming.
 pub struct DynamicCursor {
     next: AtomicUsize,
@@ -144,11 +154,10 @@ impl DynamicCursor {
             }
             let remaining = self.len - start;
             let want = match self.schedule {
-                Schedule::Dynamic { chunk } => chunk,
-                Schedule::Guided { min_chunk } => (remaining / self.nthreads).max(min_chunk),
+                Schedule::Dynamic { chunk } => chunk.min(remaining),
+                Schedule::Guided { min_chunk } => guided_chunk(remaining, self.nthreads, min_chunk),
                 Schedule::Static { .. } => unreachable!(),
-            }
-            .min(remaining);
+            };
             let end = start + want;
             if self
                 .next
@@ -276,6 +285,15 @@ mod tests {
         for &s in &sizes[..sizes.len() - 1] {
             assert!(s >= 5);
         }
+    }
+
+    #[test]
+    fn guided_chunk_halves_toward_the_floor() {
+        assert_eq!(guided_chunk(1500, 2, 1), 750);
+        assert_eq!(guided_chunk(3, 2, 1), 1);
+        assert_eq!(guided_chunk(1, 4, 1), 1);
+        assert_eq!(guided_chunk(3, 4, 5), 3, "never more than remains");
+        assert_eq!(guided_chunk(0, 2, 1), 0);
     }
 
     #[test]
