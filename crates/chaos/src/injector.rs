@@ -2,7 +2,7 @@
 //! schedules, and the fault/recovery ledger.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,6 +251,8 @@ pub struct FaultInjector {
     global_ops: AtomicU64,
     /// Crash points not yet fired.
     armed_crashes: Mutex<Vec<CrashPoint>>,
+    /// Message faults on? See [`FaultInjector::set_send_faults`].
+    send_faults: AtomicBool,
 }
 
 impl FaultInjector {
@@ -264,7 +266,18 @@ impl FaultInjector {
             rank_steps: Mutex::new(HashMap::new()),
             global_ops: AtomicU64::new(0),
             armed_crashes: Mutex::new(armed),
+            send_faults: AtomicBool::new(true),
         }
+    }
+
+    /// Turn message faults on or off (on by default). While off,
+    /// [`FaultInjector::on_send`] delivers every message and advances no
+    /// counter, so the faulted phases of a run see the same verdicts
+    /// whatever ran in between — the wire study's traced, fault-free
+    /// patternlet phase runs this way before its chaos phase. Crash and
+    /// straggler schedules are not affected.
+    pub fn set_send_faults(&self, on: bool) {
+        self.send_faults.store(on, Ordering::SeqCst);
     }
 
     /// The plan this injector is running.
@@ -289,6 +302,9 @@ impl FaultInjector {
     /// The caller is responsible for *applying* the verdict; this
     /// method only decides and accounts.
     pub fn on_send(&self, src: usize, dst: usize, user: bool) -> SendFault {
+        if !self.send_faults.load(Ordering::Relaxed) {
+            return SendFault::Deliver;
+        }
         let op = self.global_ops.fetch_add(1, Ordering::Relaxed);
         if !user {
             return SendFault::Deliver;
@@ -387,6 +403,25 @@ mod tests {
             assert_eq!(inj.on_send(0, 1, false), SendFault::Deliver);
         }
         assert_eq!(inj.stats().drops, 0);
+    }
+
+    #[test]
+    fn send_faults_off_delivers_and_keeps_the_verdict_stream() {
+        let plan = FaultPlan::new(5)
+            .with_drop_rate(0.4)
+            .with_partition(vec![0], vec![1], 3, 6);
+        let verdicts = |inj: &FaultInjector| -> Vec<SendFault> {
+            (0..32).map(|_| inj.on_send(0, 1, true)).collect()
+        };
+        let want = verdicts(&FaultInjector::new(plan.clone()));
+        let inj = FaultInjector::new(plan);
+        inj.set_send_faults(false);
+        for user in [true, false, true] {
+            assert_eq!(inj.on_send(0, 1, user), SendFault::Deliver);
+        }
+        assert_eq!(inj.stats(), FaultStats::default());
+        inj.set_send_faults(true);
+        assert_eq!(verdicts(&inj), want, "no counter moved while off");
     }
 
     #[test]

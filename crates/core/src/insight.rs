@@ -243,9 +243,9 @@ pub fn synthetic_module_b() -> String {
 }
 
 /// Synthetic wire-study trace: three rank processes compute, meet at an
-/// `allreduce`, rank 0 writes the report; the armed fault injector's
-/// decisions appear as `net/fault_injected` instants for the dashboard
-/// overlay.
+/// `allreduce`, rank 0 writes the report; the fault injector's
+/// decisions appear as `chaos/fault_injected` instants, as the send
+/// chokepoint records them, for the dashboard overlay.
 pub fn synthetic_net() -> String {
     let (model, plat, _) = model_net();
     let pred = plat.predict(&model, 4);
@@ -279,7 +279,13 @@ pub fn synthetic_net() -> String {
                 ("dst", 0u64.into()),
                 ("tag", 7u64.into()),
             ],
-            ..span("net", "fault_injected", rng.in_range(work / 10, work), 0, 0)
+            ..span(
+                "chaos",
+                "fault_injected",
+                rng.in_range(work / 10, work),
+                0,
+                0,
+            )
         })
         .collect();
     out += &jsonl_for_pid(&faults, pid_of(1));

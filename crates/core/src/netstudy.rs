@@ -6,24 +6,25 @@
 //! rank processes are launched with `pdc-net`'s `mpirun` analog and run
 //! two phases over a TCP mesh:
 //!
-//! 1. **Patternlets** (traced, injection disarmed): the full Module B
+//! 1. **Patternlets** (traced, message faults off): the full Module B
 //!    catalog runs over the wire via
 //!    [`pdc_patternlets::mp::netsuite::run_suite`], every rank exporting
 //!    a pid-stamped JSONL trace. The driver merges the per-rank traces
 //!    and runs the offline `pdc-analyze` communication pass over them —
 //!    a clean suite must yield zero diagnostics.
-//! 2. **Recoverable forest fire** (injection armed): every rank runs
+//! 2. **Recoverable forest fire** (message faults on): every rank runs
 //!    [`forestfire::sweep_recoverable`], the same sweep the thread-mode
 //!    chaos study runs. Trials stride across ranks and every result is
 //!    checkpointed in a [`CheckpointStore`] on a directory all rank
-//!    processes share. The canonical plan drops user frames (the
-//!    workers' reports to rank 0, recovered by `send_reliable`
-//!    retransmission) and kills rank 2 — really kills it, via
-//!    `std::process::abort`, with no farewell on the wire. Rank 0
-//!    detects the death from silence (heartbeat timeout or redial
-//!    exhaustion), adopts the dead rank's unreported trials (restoring
-//!    the ones it checkpointed before dying) and assembles a series that
-//!    must be bit-identical to [`forestfire::run_seq`].
+//!    processes share. The canonical plan drops user messages at the
+//!    send chokepoint before they are framed (the workers' reports to
+//!    rank 0, recovered by `send_reliable` retransmission) and kills
+//!    rank 2 — really kills it, via `std::process::abort`, with no
+//!    farewell on the wire. Rank 0 detects the death from silence
+//!    (heartbeat timeout or redial exhaustion), adopts the dead rank's
+//!    unreported trials (restoring the ones it checkpointed before
+//!    dying) and assembles a series that must be bit-identical to
+//!    [`forestfire::run_seq`].
 //!
 //! The resulting [`NetReport`] (`artifacts/BENCH_net.json`) carries
 //! only scheduling-independent facts — fault verdicts are counter-based
@@ -39,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use pdc_chaos::{CheckpointStore, FaultInjector, FaultPlan, FaultStats};
 use pdc_exemplars::forestfire::{self, FireConfig};
 use pdc_mpc::{MpcError, Transport, World};
-use pdc_net::{launch, FlakyTransport, LaunchSpec, NetConfig, TcpTransport};
+use pdc_net::{launch, LaunchSpec, NetConfig, TcpTransport};
 use pdc_patternlets::mp::netsuite;
 
 use crate::chaos::ChaosCounters;
@@ -122,15 +123,14 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
     let (rank, np) = (cfg.rank, cfg.size);
 
     let injector = Arc::new(FaultInjector::new(canonical_net_plan(seed)));
+    injector.set_send_faults(false);
     let tcp = TcpTransport::connect(cfg).map_err(|e| format!("mesh formation failed: {e}"))?;
-    let flaky = FlakyTransport::new(tcp, Arc::clone(&injector));
-    flaky.set_armed(false);
     let comm = World::new(np)
         .with_fault_injector(Arc::clone(&injector))
         .with_collective_timeout(Duration::from_secs(3))
-        .attach(flaky.clone());
+        .attach(tcp.clone());
 
-    // Phase 1: the traced patternlet suite, injection disarmed.
+    // Phase 1: the traced patternlet suite, message faults off.
     pdc_trace::reset();
     pdc_trace::enable();
     pdc_trace::set_process_label(format!("rank {rank}"));
@@ -153,7 +153,7 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
             .map_err(|e| format!("patternlet report failed: {e}"))?;
     }
 
-    // Phase 2: the recoverable sweep, injection armed. The checkpoint
+    // Phase 2: the recoverable sweep, message faults on. The checkpoint
     // store is a directory shared by all rank processes, so what a rank
     // saves survives its death.
     //
@@ -165,7 +165,7 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
     // Give every link a drain window while every rank is idle and
     // nobody can die.
     std::thread::sleep(Duration::from_millis(250));
-    flaky.set_armed(true);
+    injector.set_send_faults(true);
     let store = CheckpointStore::open(dir.join("ckpt"), injector.log())
         .map_err(|e| format!("checkpoint store failed: {e}"))?;
     let config = net_fire_config(seed, scale);
@@ -188,7 +188,7 @@ pub fn net_worker(seed: u64, scale: Scale) -> Result<(), String> {
     };
 
     write_ledger(&dir, rank, &injector);
-    flaky.shutdown();
+    tcp.shutdown();
     if ok {
         Ok(())
     } else {

@@ -14,8 +14,8 @@ use pdc_chaos::SendFault;
 use crate::analysis::{self, OpKind};
 use crate::envelope::{Envelope, Source, Tag, TagSel};
 use crate::error::{MpcError, Result};
-use crate::mailbox::Latch;
-use crate::transport::{FrameOutcome, Lead, WireFrame};
+use crate::mailbox::{Latch, Mailbox};
+use crate::transport::{Lead, WireFrame};
 use crate::world::{Fabric, Route};
 
 /// What became of one transmission at the send chokepoint — internal,
@@ -153,9 +153,10 @@ impl Comm {
     }
 
     /// The single send chokepoint: every message — user, collective, or
-    /// retransmission — passes through here, which is where fault
-    /// injection applies (`exempt` marks control-plane traffic that the
-    /// injector must deliver: retransmissions from `send_reliable`).
+    /// retransmission — passes through here, on either fabric, which is
+    /// where fault injection applies (`exempt` marks control-plane
+    /// traffic that the injector must deliver: retransmissions from
+    /// `send_reliable`).
     pub(crate) fn send_bytes_inner(
         &self,
         dest: usize,
@@ -180,70 +181,53 @@ impl Comm {
             payload,
             sync_ack,
         };
-        // Straggler delay applies to first transmissions only (both
-        // routes): exempting retransmissions keeps the straggler_delays
-        // counter a pure function of how many logical messages the slow
-        // rank sends.
-        if !exempt {
-            if let Some(inj) = &self.fabric.injector {
+        // The injector's verdict, as the copies to send and whether they
+        // overtake queued traffic. First transmissions only: exempting
+        // retransmissions keeps the straggler_delays counter a pure
+        // function of how many logical messages the slow rank sends, and
+        // consults the injector once per logical message. Internal
+        // collective traffic (negative tags) rides the reliable control
+        // plane: `on_send` delivers it, so message faults apply to user
+        // messages only, ULFM-style.
+        let (copies, front) = match &self.fabric.injector {
+            Some(inj) if !exempt => {
                 if let Some(extra) = inj.straggle(src_w) {
                     std::thread::sleep(extra);
                 }
-            }
-        }
-        let copies = match &self.fabric.route {
-            Route::Threads(mailboxes) => {
-                let mailbox = &mailboxes[dst_w];
-                let verdict = match &self.fabric.injector {
-                    // Internal collective traffic (negative tags) rides the
-                    // reliable control plane: injected faults apply to user
-                    // messages only, ULFM-style.
-                    Some(inj) if !exempt => inj.on_send(src_w, dst_w, tag >= 0),
-                    _ => SendFault::Deliver,
-                };
-                match verdict {
-                    SendFault::Deliver => {
-                        mailbox.deposit(env);
-                        1
-                    }
-                    SendFault::Drop => {
-                        span.arg("fault", "drop");
-                        0
-                    }
-                    SendFault::Duplicate => {
-                        span.arg("fault", "duplicate");
-                        let twin = Envelope {
-                            sync_ack: None, // only one copy carries the ssend latch
-                            ..env.clone()
-                        };
-                        mailbox.deposit(env);
-                        mailbox.deposit(twin);
-                        2
-                    }
+                let (fault, copies, front) = match inj.on_send(src_w, dst_w, tag >= 0) {
+                    SendFault::Deliver => (None, 1, false),
+                    SendFault::Drop => (Some("drop"), 0, false),
+                    SendFault::Duplicate => (Some("duplicate"), 2, false),
                     SendFault::Delay(extra) => {
-                        span.arg("fault", "delay");
                         std::thread::sleep(extra);
-                        mailbox.deposit(env);
-                        1
+                        (Some("delay"), 1, false)
                     }
-                    SendFault::Reorder => {
-                        span.arg("fault", "reorder");
-                        mailbox.deposit_front(env);
-                        1
-                    }
+                    SendFault::Reorder => (Some("reorder"), 1, true),
+                };
+                if let Some(fault) = fault {
+                    pdc_trace::instant(
+                        "chaos",
+                        "fault_injected",
+                        vec![
+                            ("fault", fault.into()),
+                            ("dst", dst_w.into()),
+                            ("tag", i64::from(tag).into()),
+                        ],
+                    );
                 }
+                (copies, front)
             }
+            _ => (1, false),
+        };
+        match &self.fabric.route {
+            Route::Threads(mailboxes) => deposit(&mailboxes[dst_w], env, copies, front),
             // Self-send: a loopback deposit, never a wire frame.
             Route::Wire { local, transport } if dst_w == transport.rank() => {
-                local.deposit(env);
-                1
+                deposit(local, env, copies, front)
             }
-            Route::Wire { transport, .. } => {
-                // Remote: register the ack latch (if any) and frame the
-                // message. Frame-level faults are a fault-injecting
-                // transport wrapper's business, not the chokepoint's —
-                // in wire mode the injector here only serves the
-                // crash/straggler schedules.
+            // Remote: register the ack latch (if any) and frame each
+            // copy; only the first copy carries the ack id.
+            Route::Wire { transport, .. } if copies > 0 => {
                 let ack_id = match &env.sync_ack {
                     Some(latch) => self.fabric.acks.register(Arc::clone(latch)),
                     None => 0,
@@ -254,22 +238,20 @@ impl Comm {
                     tag,
                     payload: env.payload,
                     ack_id,
-                    overtake: false,
-                    exempt,
+                    overtake: front,
                 };
-                let sent = transport.send_frame(dst_w, frame);
-                if ack_id != 0 && !matches!(sent, Ok(FrameOutcome::Sent)) {
-                    self.fabric.acks.take(ack_id);
-                }
-                match sent? {
-                    FrameOutcome::Sent => 1,
-                    FrameOutcome::InjectedDrop => {
-                        span.arg("fault", "drop");
-                        0
-                    }
+                let twin = (copies == 2).then(|| WireFrame {
+                    ack_id: 0,
+                    ..frame.clone()
+                });
+                transport.send_frame(dst_w, frame);
+                if let Some(twin) = twin {
+                    transport.send_frame(dst_w, twin);
                 }
             }
-        };
+            // A dropped remote message reaches no wire and registers no ack.
+            Route::Wire { .. } => {}
+        }
         // One op per send, counting the copies that reached the
         // destination: the traffic matrix folds these, so it reflects
         // what actually crossed the fabric.
@@ -600,6 +582,25 @@ pub fn wait_all<T: DeserializeOwned>(requests: Vec<RecvRequest<T>>) -> Result<Ve
     requests.into_iter().map(RecvRequest::wait).collect()
 }
 
+/// Deposit `copies` of `env`, at the front of the queue when `front`.
+/// A duplicate's twin carries no `sync_ack`: only one copy completes an
+/// `ssend` rendezvous.
+fn deposit(mailbox: &Mailbox, env: Envelope, copies: u8, front: bool) {
+    match copies {
+        0 => {}
+        1 if front => mailbox.deposit_front(env),
+        1 => mailbox.deposit(env),
+        _ => {
+            let twin = Envelope {
+                sync_ack: None,
+                ..env.clone()
+            };
+            mailbox.deposit(env);
+            mailbox.deposit(twin);
+        }
+    }
+}
+
 /// Serialize a payload in serde's compact binary form
 /// (`serde::binary`): a tag byte per value, little-endian scalars,
 /// length-prefixed sequences and strings, and slices of `f64`, `u64` and
@@ -632,4 +633,162 @@ pub(crate) fn encode<T: Serialize + ?Sized>(value: &T) -> Bytes {
 /// hostile or of another type are an [`MpcError::Decode`], never a panic.
 pub(crate) fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
     serde::binary::from_slice(bytes).map_err(|e| MpcError::Decode(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{Transport, WireHandle};
+    use crate::World;
+    use parking_lot::Mutex;
+    use pdc_chaos::{FaultInjector, FaultPlan, FaultStats};
+
+    /// Rank 0 of a two-rank wire world whose wire records every frame.
+    #[derive(Default)]
+    struct Loopback {
+        sent: Mutex<Vec<(usize, WireFrame)>>,
+    }
+
+    impl Transport for Loopback {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn size(&self) -> usize {
+            2
+        }
+        fn hostnames(&self) -> Vec<String> {
+            vec!["localhost".into(); 2]
+        }
+        fn start(&self, _wire: WireHandle) {}
+        fn send_frame(&self, dst: usize, frame: WireFrame) {
+            self.sent.lock().push((dst, frame));
+        }
+    }
+
+    /// A wire world's rank 0 under `plan`, with its recording wire and
+    /// injector.
+    fn wired(plan: FaultPlan) -> (Comm, Arc<Loopback>, Arc<FaultInjector>) {
+        let wire = Arc::new(Loopback::default());
+        let inj = Arc::new(FaultInjector::new(plan));
+        let comm = World::new(2)
+            .with_fault_injector(Arc::clone(&inj))
+            .attach(wire.clone());
+        (comm, wire, inj)
+    }
+
+    fn ssend_to_1(comm: &Comm, tag: Tag, exempt: bool) -> SendOutcome {
+        let latch = Arc::new(Latch::new());
+        comm.send_bytes_inner(1, tag, Bytes::copy_from_slice(b"x"), Some(latch), exempt)
+            .unwrap()
+    }
+
+    #[test]
+    fn wire_drop_sends_nothing_and_registers_no_ack() {
+        let (comm, wire, inj) = wired(FaultPlan::new(1).with_drop_rate(1.0));
+        for _ in 0..4 {
+            assert_eq!(ssend_to_1(&comm, 3, false), SendOutcome::InjectedDrop);
+        }
+        assert!(wire.sent.lock().is_empty());
+        assert!((1..=4).all(|id| comm.fabric.acks.take(id).is_none()));
+        assert_eq!(inj.stats().drops, 4);
+    }
+
+    #[test]
+    fn wire_duplicate_sends_a_twin_without_the_ack_id() {
+        let (comm, wire, _) = wired(FaultPlan::new(1).with_duplicate_rate(1.0));
+        assert_eq!(ssend_to_1(&comm, 3, false), SendOutcome::Delivered);
+        let sent = wire.sent.lock();
+        assert_eq!(sent.len(), 2);
+        assert_ne!(sent[0].1.ack_id, 0, "the original carries the ack id");
+        assert_eq!(sent[1].1.ack_id, 0, "the twin must not double-ack");
+        assert!(comm.fabric.acks.take(sent[0].1.ack_id).is_some());
+    }
+
+    #[test]
+    fn wire_reorder_sets_the_overtake_flag() {
+        let (comm, wire, _) = wired(FaultPlan::new(1).with_reorder_rate(1.0));
+        comm.send_bytes(1, 3, Bytes::copy_from_slice(b"x")).unwrap();
+        let sent = wire.sent.lock();
+        assert_eq!(sent.len(), 1);
+        assert!(sent[0].1.overtake);
+    }
+
+    #[test]
+    fn wire_control_plane_and_switched_off_faults_pass_untouched() {
+        let (comm, wire, inj) = wired(FaultPlan::new(1).with_drop_rate(1.0));
+        // Negative tag: collective control traffic.
+        assert_eq!(ssend_to_1(&comm, -3, false), SendOutcome::Delivered);
+        // A `send_reliable` retransmission.
+        assert_eq!(ssend_to_1(&comm, 3, true), SendOutcome::Delivered);
+        // Message faults off: user traffic passes.
+        inj.set_send_faults(false);
+        assert_eq!(ssend_to_1(&comm, 3, false), SendOutcome::Delivered);
+        let sent = wire.sent.lock();
+        assert_eq!(sent.len(), 3);
+        assert!(sent
+            .iter()
+            .all(|(dst, f)| *dst == 1 && f.ack_id != 0 && !f.overtake));
+        assert_eq!(inj.stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn wire_self_send_applies_the_verdict_to_the_local_mailbox() {
+        let (comm, wire, _) = wired(FaultPlan::new(1).with_duplicate_rate(1.0));
+        comm.send_bytes(0, 3, Bytes::copy_from_slice(b"me"))
+            .unwrap();
+        for _ in 0..2 {
+            assert_eq!(&comm.recv_bytes(0, 3).unwrap().0[..], b"me");
+        }
+        assert!(comm.iprobe(0, 3).is_none());
+        assert!(wire.sent.lock().is_empty());
+    }
+
+    #[test]
+    fn both_fabrics_apply_one_verdict_path() {
+        // The same plan and the same 64 user sends from rank 0 to rank 1,
+        // between two threads and onto a recording wire: the ledgers and
+        // the copies of every send must agree.
+        const SENDS: u32 = 64;
+        let plan = FaultPlan::new(9)
+            .with_drop_rate(0.25)
+            .with_duplicate_rate(0.25)
+            .with_delay(0.1, 1)
+            .with_reorder_rate(0.2);
+        let payload = |i: u32| Bytes::copy_from_slice(&i.to_le_bytes());
+        let index = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap()) as usize;
+
+        let threads = Arc::new(FaultInjector::new(plan.clone()));
+        let out = World::new(2)
+            .with_fault_injector(Arc::clone(&threads))
+            .run(|c| {
+                let mut copies = vec![0usize; SENDS as usize];
+                if c.rank() == 0 {
+                    for i in 0..SENDS {
+                        c.send_bytes(1, 3, payload(i)).unwrap();
+                    }
+                }
+                c.barrier().unwrap();
+                while c.iprobe(0, 3).is_some() {
+                    copies[index(&c.recv_bytes(0, 3).unwrap().0)] += 1;
+                }
+                copies
+            });
+
+        let (comm, wire, wired_inj) = wired(plan);
+        for i in 0..SENDS {
+            comm.send_bytes(1, 3, payload(i)).unwrap();
+        }
+        let mut copies = vec![0usize; SENDS as usize];
+        for (_, frame) in wire.sent.lock().iter() {
+            copies[index(&frame.payload)] += 1;
+        }
+
+        let stats = threads.stats();
+        assert!(
+            stats.drops > 0 && stats.duplicates > 0 && stats.delays > 0 && stats.reorders > 0,
+            "the plan missed a fault kind: {stats:?}"
+        );
+        assert_eq!(wired_inj.stats(), stats);
+        assert_eq!(out[1], copies);
+    }
 }

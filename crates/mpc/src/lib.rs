@@ -76,7 +76,7 @@ pub use error::MpcError;
 pub use failure::DeadSet;
 pub use reduce_op::ops;
 pub use traffic::TrafficMatrix;
-pub use transport::{FrameOutcome, Transport, WireFrame, WireHandle};
+pub use transport::{Transport, WireFrame, WireHandle};
 pub use world::{World, DEFAULT_COLLECTIVE_TIMEOUT};
 
 /// Crate prelude for patternlets and exemplars.

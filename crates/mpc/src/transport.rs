@@ -3,13 +3,14 @@
 //!
 //! The default fabric runs every rank as a thread and every send as a
 //! mailbox deposit. A [`Transport`] replaces that deposit with a frame
-//! handed to a real wire (pdc-net's TCP backend, a fault-injecting
-//! wrapper, a future RDMA backend) while everything above the
-//! chokepoint — matching semantics, collectives, `ssend` rendezvous,
-//! `send_reliable`, the `DeadSet` — runs unchanged:
+//! handed to a real wire (pdc-net's TCP backend, a future RDMA backend)
+//! while everything above the chokepoint — matching semantics,
+//! collectives, `ssend` rendezvous, `send_reliable`, the `DeadSet`, and
+//! injected message faults — runs unchanged:
 //!
-//! - Outbound: `send_bytes_inner` frames the message as a [`WireFrame`]
-//!   and calls [`Transport::send_frame`].
+//! - Outbound: `send_bytes_inner` applies the fault injector's verdict,
+//!   frames the message as a [`WireFrame`] and calls
+//!   [`Transport::send_frame`] once per copy (none for a drop).
 //! - Inbound: whichever thread reads a link — the transport's receive
 //!   pump, or a rank blocked on that link ([`Transport::progress`]) —
 //!   calls [`WireHandle::deliver`], depositing into the one local
@@ -35,7 +36,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::envelope::{Envelope, Tag};
-use crate::error::Result;
 use crate::mailbox::Latch;
 use crate::world::Fabric;
 
@@ -61,22 +61,6 @@ pub struct WireFrame {
     /// Deliver ahead of all queued traffic — fault-injected reordering
     /// (deliberately violates the non-overtaking guarantee).
     pub overtake: bool,
-    /// Control-plane traffic (retransmissions): a fault-injecting
-    /// transport must pass this through untouched.
-    pub exempt: bool,
-}
-
-/// What a transport did with a frame handed to [`Transport::send_frame`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameOutcome {
-    /// The frame was handed to the wire toward the peer. Delivery
-    /// still depends on the wire — reliability is layered above, not
-    /// promised here.
-    Sent,
-    /// A fault-injecting wrapper dropped the frame before the wire.
-    /// `send_reliable` counts these exactly like in-process injected
-    /// drops and recovers them by retransmission.
-    InjectedDrop,
 }
 
 /// A wire between this process (hosting exactly one world rank) and its
@@ -98,9 +82,11 @@ pub trait Transport: Send + Sync {
 
     /// Hand one frame to the wire toward world rank `dst` (never this
     /// process's own rank — self-sends short-circuit at the chokepoint).
-    /// Sends to dead or unreachable peers succeed vacuously, like
-    /// depositing into a mailbox nobody will ever drain.
-    fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome>;
+    /// Delivery still depends on the wire — reliability is layered
+    /// above, not promised here — and sends to dead or unreachable peers
+    /// succeed vacuously, like depositing into a mailbox nobody will
+    /// ever drain.
+    fn send_frame(&self, dst: usize, frame: WireFrame);
 
     /// This process is abandoning the world (a *cooperative* crash):
     /// notify peers so their failure detectors need not wait out a

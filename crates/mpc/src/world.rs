@@ -158,8 +158,8 @@ impl World {
     /// Run under an already-armed injector that the caller shares with
     /// the rest of the run, so one fault ledger records all of it: a
     /// `pdc_chaos::ChaosContext`'s checkpoint store logs its saves and
-    /// restores into the same injector, and the wire study's pdc-net
-    /// `FlakyTransport` draws its frame verdicts from it.
+    /// restores into the same injector, and the wire study switches its
+    /// message faults between phases (`FaultInjector::set_send_faults`).
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
@@ -221,12 +221,12 @@ impl World {
     /// other OS processes reached over the wire.
     ///
     /// Builder configuration carries over: collective algorithm and
-    /// timeout, retry policy, and the fault injector (which in wire
-    /// mode serves only the crash/straggler schedules — frame-level
-    /// faults belong to a fault-injecting transport wrapper). Hostnames
-    /// come from the transport. Online analysis is thread-mode only
-    /// (a per-process recorder would see a torn view of the world);
-    /// wire runs use the offline JSONL pass instead.
+    /// timeout, retry policy, and the fault injector, whose message
+    /// faults the send chokepoint applies to frames just as it does to
+    /// thread-mode deposits. Hostnames come from the transport. Online
+    /// analysis is thread-mode only (a per-process recorder would see a
+    /// torn view of the world); wire runs use the offline JSONL pass
+    /// instead.
     ///
     /// The caller keeps ownership of the transport and is responsible
     /// for [`Transport::shutdown`] when the rank is done.
@@ -649,11 +649,7 @@ mod tests {
                 vec!["solo".to_owned()]
             }
             fn start(&self, _wire: WireHandle) {}
-            fn send_frame(
-                &self,
-                _dst: usize,
-                _frame: crate::transport::WireFrame,
-            ) -> crate::error::Result<crate::transport::FrameOutcome> {
+            fn send_frame(&self, _dst: usize, _frame: crate::transport::WireFrame) {
                 unreachable!("a one-rank world has no peers")
             }
         }

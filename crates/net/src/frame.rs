@@ -8,7 +8,8 @@
 //!      0     4  magic      "PDCN"
 //!      4     2  version    wire protocol version (little-endian, = 1)
 //!      6     1  kind       FrameKind discriminant
-//!      7     1  flags      bit 0 overtake, bit 1 retransmit
+//!      7     1  flags      bit 0 overtake; bits 1-7 reserved (sent
+//!                          as 0, ignored on receipt)
 //!      8     4  src        sender's rank (world rank for control
 //!                          frames; *group* rank within comm_id for
 //!                          Data — the link itself identifies the
@@ -44,7 +45,6 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 const HEADER_LEN: usize = 40;
 const FLAG_OVERTAKE: u8 = 1 << 0;
-const FLAG_RETRANSMIT: u8 = 1 << 1;
 
 /// What a frame is for; the discriminant is the header's kind byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +103,6 @@ pub struct Frame<P = Vec<u8>> {
     pub ack_id: u64,
     /// Deliver ahead of queued traffic (injected reordering).
     pub overtake: bool,
-    /// Control-plane retransmission: exempt from fault injection.
-    pub retransmit: bool,
     /// Payload bytes.
     pub payload: P,
 }
@@ -119,7 +117,6 @@ impl Frame {
             comm_id: 0,
             ack_id: 0,
             overtake: false,
-            retransmit: false,
             payload: Vec::new(),
         }
     }
@@ -161,7 +158,6 @@ impl<P: AsRef<[u8]>> Frame<P> {
             comm_id: u64::from_le_bytes(header[16..24].try_into().unwrap()),
             ack_id: u64::from_le_bytes(header[24..32].try_into().unwrap()),
             overtake: flags & FLAG_OVERTAKE != 0,
-            retransmit: flags & FLAG_RETRANSMIT != 0,
             payload,
         })
     }
@@ -173,14 +169,7 @@ impl<P: AsRef<[u8]>> Frame<P> {
         buf.extend_from_slice(&WIRE_MAGIC);
         buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         buf.push(self.kind as u8);
-        let mut flags = 0u8;
-        if self.overtake {
-            flags |= FLAG_OVERTAKE;
-        }
-        if self.retransmit {
-            flags |= FLAG_RETRANSMIT;
-        }
-        buf.push(flags);
+        buf.push(if self.overtake { FLAG_OVERTAKE } else { 0 });
         buf.extend_from_slice(&self.src.to_le_bytes());
         buf.extend_from_slice(&self.tag.to_le_bytes());
         buf.extend_from_slice(&self.comm_id.to_le_bytes());
@@ -385,7 +374,6 @@ mod tests {
             comm_id: 7,
             ack_id: 99,
             overtake: true,
-            retransmit: true,
             payload: b"hello, wire".to_vec(),
         }
     }

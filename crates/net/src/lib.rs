@@ -26,8 +26,6 @@
 //!   write-through sends, reads by the waiting rank or a per-peer
 //!   reader pump, heartbeat failure detection, reconnect with
 //!   deterministic backoff.
-//! - [`flaky`] — [`FlakyTransport`]: frame-level fault injection, the
-//!   wire analog of the thread-mode chaos chokepoint.
 //! - [`launcher`] — [`launch`] and the `pdc-run` binary: the `mpirun`
 //!   analog.
 //!
@@ -47,12 +45,10 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod flaky;
 pub mod frame;
 pub mod launcher;
 pub mod transport;
 
-pub use flaky::FlakyTransport;
 pub use frame::{crc32, Frame, FrameKind, Hello, Welcome, MAX_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};
 pub use launcher::{launch, LaunchSpec, RankExit};
 pub use transport::{NetConfig, TcpTransport};

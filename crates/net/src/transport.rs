@@ -70,7 +70,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use pdc_chaos::RetryPolicy;
-use pdc_mpc::{FrameOutcome, Transport, WireFrame, WireHandle};
+use pdc_mpc::{Transport, WireFrame, WireHandle};
 
 use crate::frame::{bad, Frame, FrameBuf, FrameKind, Hello, Welcome};
 
@@ -420,7 +420,7 @@ impl Transport for TcpTransport {
         self.shared.handle_cv.notify_all();
     }
 
-    fn send_frame(&self, dst: usize, frame: WireFrame) -> pdc_mpc::error::Result<FrameOutcome> {
+    fn send_frame(&self, dst: usize, frame: WireFrame) {
         self.shared.send(
             dst,
             &Frame {
@@ -430,11 +430,9 @@ impl Transport for TcpTransport {
                 comm_id: frame.comm_id,
                 ack_id: frame.ack_id,
                 overtake: frame.overtake,
-                retransmit: frame.exempt,
                 payload: frame.payload,
             },
         );
-        Ok(FrameOutcome::Sent)
     }
 
     fn announce_crash(&self) {
@@ -996,7 +994,6 @@ impl Shared {
                         payload: frame.payload,
                         ack_id: frame.ack_id,
                         overtake: frame.overtake,
-                        exempt: frame.retransmit,
                     },
                     ack,
                 );

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use pdc_chaos::{FaultInjector, FaultPlan, FaultStats};
 use pdc_mpc::{MpcError, Source, TagSel, Transport, World};
-use pdc_net::{FlakyTransport, NetConfig, TcpTransport};
+use pdc_net::{NetConfig, TcpTransport};
 use pdc_patternlets::mp::netsuite;
 
 static SESSION_SALT: AtomicUsize = AtomicUsize::new(0);
@@ -89,15 +89,14 @@ fn injected_wire_drops_are_recovered_by_send_reliable() {
     // are per (src, dst) channel counters, so each sender sees its own
     // deterministic fault stream.
     let outputs: Vec<(Vec<u64>, FaultStats)> = with_mesh(
-        "flaky",
+        "drops",
         2,
         |_| {},
         |rank, transport| {
             let injector = Arc::new(FaultInjector::new(FaultPlan::new(21).with_drop_rate(0.4)));
-            let flaky = FlakyTransport::new(transport as Arc<dyn Transport>, Arc::clone(&injector));
             let comm = World::new(2)
                 .with_fault_injector(Arc::clone(&injector))
-                .attach(flaky.clone());
+                .attach(transport.clone() as Arc<dyn Transport>);
             let received = if rank == 0 {
                 for i in 0..N {
                     comm.send_reliable(1, 7, &i).unwrap();
@@ -109,7 +108,7 @@ fn injected_wire_drops_are_recovered_by_send_reliable() {
                     .collect()
             };
             let stats = injector.stats();
-            flaky.shutdown();
+            transport.shutdown();
             (received, stats)
         },
     );
@@ -123,6 +122,57 @@ fn injected_wire_drops_are_recovered_by_send_reliable() {
     );
     assert_eq!(sender.drops_recovered, sender.drops);
     assert!(sender.all_recovered());
+}
+
+#[test]
+fn seeded_wire_reorder_plan_cannot_lose_or_invent_messages() {
+    // The wire twin of the thread-mode regression in `failure_modes`:
+    // three sender processes hammer rank 0 through a plan that reorders
+    // (overtake-flagged frames) and delays deliveries. The receiver must
+    // see exactly the multiset sent.
+    const PER_SENDER: usize = 100;
+    let outputs: Vec<(Vec<(usize, usize)>, FaultStats)> = with_mesh(
+        "reorder",
+        4,
+        |_| {},
+        |rank, transport| {
+            let injector = Arc::new(FaultInjector::new(
+                FaultPlan::new(21).with_reorder_rate(0.4).with_delay(0.2, 1),
+            ));
+            let comm = World::new(4)
+                .with_fault_injector(Arc::clone(&injector))
+                .attach(transport.clone() as Arc<dyn Transport>);
+            let mut got: Vec<(usize, usize)> = Vec::new();
+            if rank == 0 {
+                for _ in 0..3 * PER_SENDER {
+                    let (msg, _) = comm
+                        .recv_timeout(Source::Any, TagSel::Any, Duration::from_secs(5))
+                        .expect("no message may be lost");
+                    got.push(msg);
+                }
+                got.sort_unstable();
+            } else {
+                for i in 0..PER_SENDER {
+                    comm.send(0, rank as i32, &(rank, i)).unwrap();
+                }
+            }
+            let stats = injector.stats();
+            transport.shutdown();
+            (got, stats)
+        },
+    );
+    let mut want: Vec<(usize, usize)> = (1..4)
+        .flat_map(|r| (0..PER_SENDER).map(move |i| (r, i)))
+        .collect();
+    want.sort_unstable();
+    assert_eq!(outputs[0].0, want);
+    let s = outputs
+        .iter()
+        .fold(FaultStats::default(), |acc, (_, s)| acc.merged(s));
+    assert!(
+        s.reorders > 0 && s.delays > 0,
+        "the plan injected nothing: {s:?}"
+    );
 }
 
 #[test]

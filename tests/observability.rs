@@ -188,6 +188,65 @@ fn chaos_ledger_reconciles_with_trace_counters() {
 }
 
 #[test]
+fn every_injected_message_fault_is_one_fault_injected_instant() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    use pdc_chaos::{FaultInjector, FaultPlan};
+    use std::sync::Arc;
+
+    // Every kind of message fault on user sends between three thread
+    // ranks, with a partition window cutting the 0 <-> 1 channels for
+    // the whole run; the closing barrier's control traffic must add no
+    // instant.
+    let inj = Arc::new(FaultInjector::new(
+        FaultPlan::new(11)
+            .with_drop_rate(0.2)
+            .with_duplicate_rate(0.2)
+            .with_delay(0.1, 1)
+            .with_reorder_rate(0.2)
+            .with_partition(vec![0], vec![1], 0, 1_000),
+    ));
+    let ((), events) = pdc_trace::with_tracing(|| {
+        World::new(3)
+            .with_fault_injector(Arc::clone(&inj))
+            .run(|c| {
+                for i in 0..40u32 {
+                    c.send((c.rank() + 1 + (i as usize % 2)) % 3, 5, &i)
+                        .unwrap();
+                }
+                c.barrier().unwrap();
+            });
+    });
+    let s = inj.stats();
+    assert!(
+        s.drops > 0 && s.partition_drops > 0 && s.duplicates > 0 && s.delays > 0 && s.reorders > 0,
+        "the plan missed a fault kind: {s:?}"
+    );
+    let instants: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Instant) && e.name == "fault_injected")
+        .collect();
+    assert_eq!(
+        instants.len() as u64,
+        s.drops + s.partition_drops + s.duplicates + s.delays + s.reorders
+    );
+    let kind = |want: &str| {
+        instants
+            .iter()
+            .filter(|e| {
+                e.category == "chaos"
+                    && e.args
+                        .iter()
+                        .any(|(k, v)| *k == "fault" && matches!(v, ArgValue::Str(f) if *f == want))
+            })
+            .count() as u64
+    };
+    assert_eq!(kind("drop"), s.drops + s.partition_drops);
+    assert_eq!(kind("duplicate"), s.duplicates);
+    assert_eq!(kind("delay"), s.delays);
+    assert_eq!(kind("reorder"), s.reorders);
+}
+
+#[test]
 fn chrome_export_of_a_mixed_run_is_valid_json() {
     let _guard = TRACE_LOCK.lock().unwrap();
     let ((), events) = pdc_trace::with_tracing(|| {
