@@ -35,7 +35,9 @@ impl From<usize> for Source {
 pub enum TagSel {
     /// Match only this tag.
     Tag(Tag),
-    /// Match any tag.
+    /// Match any user tag (`tag >= 0`). Like `MPI_ANY_TAG`, it never
+    /// matches the runtime's collective traffic, so a wildcard receive
+    /// cannot take a peer's barrier or broadcast message.
     Any,
 }
 
@@ -43,7 +45,7 @@ impl TagSel {
     pub(crate) fn matches(&self, tag: Tag) -> bool {
         match self {
             TagSel::Tag(t) => *t == tag,
-            TagSel::Any => true,
+            TagSel::Any => tag >= 0,
         }
     }
 }
@@ -89,7 +91,12 @@ mod tests {
 
     #[test]
     fn tag_selector_matching() {
-        assert!(TagSel::Any.matches(-1));
+        assert!(TagSel::Any.matches(0));
+        assert!(
+            !TagSel::Any.matches(-1),
+            "collective traffic is not a user tag"
+        );
+        assert!(TagSel::Tag(-1).matches(-1));
         assert!(TagSel::Tag(9).matches(9));
         assert!(!TagSel::Tag(9).matches(8));
         assert_eq!(TagSel::from(2), TagSel::Tag(2));

@@ -386,6 +386,16 @@ mod tests {
     }
 
     #[test]
+    fn any_tag_skips_collective_traffic() {
+        let mb = Mailbox::new();
+        mb.deposit(env(0, 1, -1, b"barrier"));
+        mb.deposit(env(0, 1, 3, b"user"));
+        let got = mb.take_matching(0, Source::Any, TagSel::Any, None).unwrap();
+        assert_eq!((got.tag, &got.payload[..]), (3, &b"user"[..]));
+        assert_eq!(mb.pending(), 1, "the collective message stays queued");
+    }
+
+    #[test]
     fn comm_ids_isolate_messages() {
         let mb = Mailbox::new();
         mb.deposit(env(42, 0, 0, b"other-comm"));

@@ -434,6 +434,38 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_recv_leaves_a_waiting_barrier_alone() {
+        // Rank 0's mailbox is made to hold, in this order, rank 1's user
+        // message and barrier entry, then rank 2's: a wildcard receive that
+        // matched collective tags would take rank 1's barrier entry second.
+        let out = World::new(3).run(|c| {
+            let barrier_in = TagSel::Tag(-1);
+            match c.rank() {
+                0 => {
+                    c.probe(1, barrier_in).unwrap();
+                    c.send(2, 0, &()).unwrap();
+                    c.probe(2, barrier_in).unwrap();
+                    let mut seen: Vec<(usize, usize)> = (0..2)
+                        .map(|_| c.recv(Source::Any, TagSel::Any).unwrap())
+                        .collect();
+                    seen.sort();
+                    c.barrier().unwrap();
+                    seen
+                }
+                r => {
+                    if r == 2 {
+                        let () = c.recv(0, 0).unwrap();
+                    }
+                    c.send(0, 3, &(r, r * 10)).unwrap();
+                    c.barrier().unwrap();
+                    Vec::new()
+                }
+            }
+        });
+        assert_eq!(out[0], vec![(1, 10), (2, 20)]);
+    }
+
+    #[test]
     fn deadlock_detected_by_timeout() {
         // Both ranks receive before sending: the deadlock patternlet.
         let out = World::new(2).run(|c| {
