@@ -28,9 +28,10 @@ fn scatter_without_root_data_fails_cleanly() {
             // Root "forgets" to supply the data.
             c.scatter::<u32>(0, None).err()
         } else {
-            // The worker would hang forever waiting; use a bounded recv
-            // to prove nothing was sent.
-            c.recv_timeout::<u32>(0, TagSel::Any, Duration::from_millis(80))
+            // The worker would hang forever waiting; a bounded recv on
+            // scatter's reserved tag (-4) proves nothing was sent.
+            // `TagSel::Any` would not: it matches user tags only.
+            c.recv_timeout::<u32>(0, TagSel::Tag(-4), Duration::from_millis(80))
                 .err()
         }
     });
